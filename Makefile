@@ -49,9 +49,11 @@ mc-smoke: build
 	dune exec bench/main.exe -- mc --out BENCH_mc.json
 
 # Distributed-campaign smoke: the sharded subprocess runner must be
-# byte-identical to the serial report even under a kill+stall nemesis;
-# a supervisor-killed checkpointed run must exit 3 and then --resume
-# to exactly the uninterrupted report; the sharded model checker must
+# byte-identical to the serial report even under a kill+stall nemesis
+# and under the network faults a pipe worker can suffer (ndrop: half a
+# reply, then exit; npartial: a dribbled reply); a supervisor-killed
+# checkpointed run must exit 3 and then --resume to exactly the
+# uninterrupted report; the sharded model checker must
 # match its serial run; and the dist bench must agree (it exits
 # non-zero on any divergence and writes BENCH_dist.json).
 dist-smoke: build
@@ -59,6 +61,9 @@ dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
 	  --nemesis 'kill:0@2,stall:1@1' --heartbeat 2 > _build/dist_sharded.txt
 	cmp _build/dist_serial.txt _build/dist_sharded.txt
+	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 2 \
+	  --nemesis 'ndrop:0@1,npartial:1@1' > _build/dist_netfault.txt
+	cmp _build/dist_serial.txt _build/dist_netfault.txt
 	rm -f _build/dist.ckpt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
 	  --checkpoint _build/dist.ckpt --nemesis 'skill@2' > /dev/null; test $$? -eq 3

@@ -1631,8 +1631,8 @@ let free_tcp_port () =
 
 let spawn_serve_worker ~id ~addr =
   let binding =
-    Dist.Serve.env_binding ~id ~mode:Dist.Serve.Listen ~addr
-      ~nemesis:Dist.Nemesis.none ~once:true ()
+    Dist.Worker.env_binding
+      (Dist.Worker.cfg ~id ~once:true (Dist.Worker.Listen addr))
   in
   let env = Array.append (Unix.environment ()) [| binding |] in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
@@ -1763,7 +1763,6 @@ let () =
   (* The dist supervisor re-executes whatever binary spawned it as its
      workers; this makes the bench harness self-hosting too. *)
   Dist.Worker.maybe_run ();
-  Dist.Serve.maybe_run ();
   match Array.to_list Sys.argv with
   | _ :: "reports" :: rest ->
       let rec go only jobs = function

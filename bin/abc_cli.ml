@@ -1108,7 +1108,7 @@ let cmd_worker =
     | Error e ->
         Format.eprintf "error: %s@." e;
         1
-    | Ok nemesis -> Dist.Worker.run ~id ~nemesis
+    | Ok nemesis -> Dist.Worker.run (Dist.Worker.cfg ~id ~nemesis Dist.Worker.Pipe)
   in
   let id =
     Arg.(
@@ -1141,13 +1141,7 @@ let cmd_serve =
     match (listen, connect) with
     | None, None | Some _, Some _ ->
         fail "serve needs exactly one of --listen ADDR or --connect ADDR"
-    | _ -> (
-        let mode, addr_s =
-          match (listen, connect) with
-          | Some a, None -> (Dist.Serve.Listen, a)
-          | None, Some a -> (Dist.Serve.Connect, a)
-          | _ -> assert false
-        in
+    | Some addr_s, None | None, Some addr_s -> (
         if max_frame < 1 then fail "--max-frame must be >= 1"
         else
           match Net.Transport.addr_of_string addr_s with
@@ -1160,15 +1154,12 @@ let cmd_serve =
               with
               | Error e -> fail e
               | Ok nemesis ->
-                  Dist.Serve.run
-                    {
-                      Dist.Serve.sv_id = id;
-                      sv_mode = mode;
-                      sv_addr = addr;
-                      sv_nemesis = nemesis;
-                      sv_max_frame = max_frame;
-                      sv_once = once;
-                    }))
+                  let mode =
+                    if listen <> None then Dist.Worker.Listen addr
+                    else Dist.Worker.Connect addr
+                  in
+                  Dist.Worker.run
+                    (Dist.Worker.cfg ~id ~nemesis ~max_frame ~once mode)))
   in
   let listen =
     Arg.(
@@ -1232,7 +1223,6 @@ let cmd_serve =
 let () =
   (* re-executed as a shard worker?  enter the loop, never return *)
   Dist.Worker.maybe_run ();
-  Dist.Serve.maybe_run ();
   let doc = "laboratory for the Asynchronous Bounded-Cycle model reproduction" in
   let info = Cmd.info "abc" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -35,18 +35,6 @@ type t = { fd : Unix.file_descr; path : string }
 
 let fsync fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let get_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let header ~fingerprint =
   if String.length fingerprint <> 32 then
     invalid_arg "Checkpoint: fingerprint must be 32 hex chars";
@@ -54,39 +42,64 @@ let header ~fingerprint =
 
 let header_len = 7 + 1 + 32
 
+let rec write_all fd s pos =
+  if pos < String.length s then
+    write_all fd s (pos + Unix.write_substring fd s pos (String.length s - pos))
+
 (** Create a fresh journal (truncating any previous file at [path]):
     header goes to [path ^ ".tmp"], fsync, rename — atomic on POSIX. *)
 let create ~path ~fingerprint : t =
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  let h = header ~fingerprint in
-  let n = Unix.write_substring fd h 0 (String.length h) in
-  if n <> String.length h then failwith "Checkpoint.create: short header write";
+  write_all fd (header ~fingerprint) 0;
   fsync fd;
   Unix.close fd;
   Unix.rename tmp path;
   let fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644 in
   { fd; path }
 
-(* Header validation shared by {!load} and {!reopen}: magic, version
-   and campaign fingerprint must all match before any byte of the
-   journal is trusted. *)
-let check_header ~path (data : string) ~fingerprint : (unit, string) result =
-  if String.length data < header_len then
-    Error (Printf.sprintf "checkpoint %s: truncated header" path)
-  else if String.sub data 0 7 <> magic then
-    Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
-  else if data.[7] <> version then
-    Error
-      (Printf.sprintf "checkpoint %s: version %d, this binary writes version %d"
-         path (Char.code data.[7]) (Char.code version))
-  else if String.sub data 8 32 <> fingerprint then
-    Error
-      (Printf.sprintf
-         "checkpoint %s: fingerprint %s does not match this campaign (%s) — \
-          wrong seed, case count, oracle selection or shard layout"
-         path (String.sub data 8 32) fingerprint)
-  else Ok ()
+(* The first [limit] bytes of the file (all of it by default), then
+   the header validation shared by {!load} and {!reopen}: magic,
+   version and campaign fingerprint must all match before any byte of
+   the journal is trusted. *)
+let read_checked ?limit ~path ~fingerprint () : (string, string) result =
+  match Unix.openfile path [ O_RDONLY ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        (Printf.sprintf "cannot open checkpoint %s: %s" path
+           (Unix.error_message e))
+  | fd -> (
+      let data =
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            let want = Option.value limit ~default:(Unix.fstat fd).st_size in
+            let data = Bytes.create want in
+            let rec fill got =
+              if got = want then got
+              else
+                match Unix.read fd data got (want - got) with
+                | 0 -> got
+                | n -> fill (got + n)
+            in
+            Bytes.sub_string data 0 (fill 0))
+      in
+      if String.length data < header_len then
+        Error (Printf.sprintf "checkpoint %s: truncated header" path)
+      else if String.sub data 0 7 <> magic then
+        Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
+      else if data.[7] <> version then
+        Error
+          (Printf.sprintf
+             "checkpoint %s: version %d, this binary writes version %d" path
+             (Char.code data.[7]) (Char.code version))
+      else if String.sub data 8 32 <> fingerprint then
+        Error
+          (Printf.sprintf
+             "checkpoint %s: fingerprint %s does not match this campaign (%s) \
+              — wrong seed, case count, oracle selection or shard layout"
+             path (String.sub data 8 32) fingerprint)
+      else Ok data)
 
 (** Reopen an existing journal for appending (after {!load}).
     Re-verifies the header even though {!load} already did: between
@@ -96,45 +109,19 @@ let check_header ~path (data : string) ~fingerprint : (unit, string) result =
     foreign-partition unit ids must fail loudly, not corrupt a
     journal that would later resume cleanly. *)
 let reopen ~path ~fingerprint : (t, string) result =
-  match Unix.openfile path [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error
-        (Printf.sprintf "cannot open checkpoint %s: %s" path
-           (Unix.error_message e))
-  | fd ->
-      let hdr = Bytes.create header_len in
-      let got = ref 0 in
-      (try
-         while !got < header_len do
-           let n = Unix.read fd hdr !got (header_len - !got) in
-           if n = 0 then raise Exit;
-           got := !got + n
-         done
-       with Exit -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match
-        check_header ~path (Bytes.sub_string hdr 0 !got) ~fingerprint
-      with
-      | Error _ as e -> e
-      | Ok () ->
-          Ok { fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644; path }
+  Result.map
+    (fun _ -> { fd = Unix.openfile path [ O_WRONLY; O_APPEND ] 0o644; path })
+    (read_checked ~limit:header_len ~path ~fingerprint ())
 
 let append (t : t) ~unit_id ~(blob : string) =
   let payload = Marshal.to_string (unit_id, blob) [] in
   let b = Buffer.create (String.length payload + 8) in
-  put_u32 b (String.length payload);
-  put_u32 b
+  Frame.put_u32 b (String.length payload);
+  Frame.put_u32 b
     (Int32.to_int (Frame.crc32 payload ~pos:0 ~len:(String.length payload))
     land 0xFFFFFFFF);
   Buffer.add_string b payload;
-  let s = Buffer.contents b in
-  let rec w pos len =
-    if len > 0 then begin
-      let n = Unix.write_substring t.fd s pos len in
-      w (pos + n) (len - n)
-    end
-  in
-  w 0 (String.length s);
+  write_all t.fd (Buffer.contents b) 0;
   fsync t.fd
 
 let close (t : t) = try Unix.close t.fd with Unix.Unix_error _ -> ()
@@ -146,63 +133,25 @@ let close (t : t) = try Unix.close t.fd with Unix.Unix_error _ -> ()
     magic, unsupported version, or a fingerprint from a different
     campaign — each diagnostic says which. *)
 let load ~path ~fingerprint : ((int * string) list, string) result =
-  match Unix.openfile path [ O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) ->
-      Error
-        (Printf.sprintf "cannot open checkpoint %s: %s" path
-           (Unix.error_message e))
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let len = (Unix.fstat fd).st_size in
-          let data = Bytes.create len in
-          let got = ref 0 in
-          (try
-             while !got < len do
-               let n = Unix.read fd data !got (len - !got) in
-               if n = 0 then raise Exit;
-               got := !got + n
-             done
-           with Exit -> ());
-          let data = Bytes.sub_string data 0 !got in
-          let have = String.length data in
-          if have < header_len then
-            Error (Printf.sprintf "checkpoint %s: truncated header" path)
-          else if String.sub data 0 7 <> magic then
-            Error (Printf.sprintf "checkpoint %s: bad magic (not a journal)" path)
-          else if data.[7] <> version then
-            Error
-              (Printf.sprintf
-                 "checkpoint %s: version %d, this binary writes version %d"
-                 path (Char.code data.[7]) (Char.code version))
-          else if String.sub data 8 32 <> fingerprint then
-            Error
-              (Printf.sprintf
-                 "checkpoint %s: fingerprint %s does not match this campaign \
-                  (%s) — wrong seed, case count, oracle selection or shard \
-                  layout"
-                 path (String.sub data 8 32) fingerprint)
-          else begin
-            let records = ref [] in
-            let pos = ref header_len in
-            (try
-               while !pos + 8 <= have do
-                 let rlen = get_u32 data !pos in
-                 if rlen < 0 || rlen > Frame.max_payload then raise Exit;
-                 if !pos + 8 + rlen > have then raise Exit (* truncated tail *);
-                 let crc_hdr = get_u32 data (!pos + 4) in
-                 let payload = String.sub data (!pos + 8) rlen in
-                 let crc_real =
-                   Int32.to_int (Frame.crc32 payload ~pos:0 ~len:rlen)
-                   land 0xFFFFFFFF
-                 in
-                 if crc_hdr <> crc_real then raise Exit (* corrupt tail *);
-                 (match (Marshal.from_string payload 0 : int * string) with
-                 | r -> records := r :: !records
-                 | exception _ -> raise Exit);
-                 pos := !pos + 8 + rlen
-               done
-             with Exit -> ());
-            Ok (List.rev !records)
-          end)
+  Result.map
+    (fun data ->
+      let have = String.length data in
+      let rec records acc pos =
+        if pos + 8 > have then acc
+        else
+          let rlen = Frame.get_u32 data pos in
+          if rlen > Frame.max_payload || pos + 8 + rlen > have then acc
+            (* truncated tail *)
+          else
+            let crc_real =
+              Int32.to_int (Frame.crc32 data ~pos:(pos + 8) ~len:rlen)
+              land 0xFFFFFFFF
+            in
+            if Frame.get_u32 data (pos + 4) <> crc_real then acc (* corrupt tail *)
+            else
+              match (Marshal.from_string data (pos + 8) : int * string) with
+              | r -> records (r :: acc) (pos + 8 + rlen)
+              | exception _ -> acc
+      in
+      List.rev (records [] header_len))
+    (read_checked ~path ~fingerprint ())

@@ -1,27 +1,24 @@
-(** Length-prefixed, CRC-guarded frames over byte pipes.
+(** Length-prefixed, CRC-guarded frames over byte streams.
 
-    The shard protocol runs over plain [stdin]/[stdout] pipes, so a
-    dying or malicious worker can hand the supervisor {e any} byte
-    sequence: a frame cut mid-header, a frame whose payload was
-    scribbled over, a valid frame repeated.  Every frame therefore
+    The shard protocol runs over a {!Net.Transport} — a pipe pair to
+    a child process or a socket — so a dying or malicious peer can
+    hand its reader {e any} byte sequence: a frame cut mid-header, a
+    frame whose payload was scribbled over, a valid frame repeated.  Every frame therefore
     carries a magic, a type byte, a big-endian payload length and a
     CRC-32 of the payload:
 
     {v 'A' 'B' <type> <len:4 BE> <crc32:4 BE> <payload:len> v}
 
-    The supervisor parses incrementally ({!parser}); any violation —
+    Both ends parse incrementally ({!parser}); any violation —
     bad magic, unknown type, implausible length, CRC mismatch — is
     {e unrecoverable} for that stream ([Error]), because after
     corruption there is no way to find the next frame boundary without
-    trusting the corrupted bytes.  The caller's move is to kill the
-    worker and re-dispatch its work, never to resynchronize.
+    trusting the corrupted bytes.  The supervisor's move is to kill
+    the worker and re-dispatch its work, never to resynchronize; a
+    worker facing a corrupt supervisor stream hangs up.
 
-    The worker side reads blocking ({!read_blocking}) — its peer is
-    the supervisor, and a corrupt supervisor frame is equally fatal.
-
-    {!write_garbage} and {!write_truncated} exist for the harness
-    nemesis: a deliberately CRC-broken frame and a frame cut short
-    mid-header. *)
+    {!garbage} and {!truncated} exist for the harness nemesis: a
+    deliberately CRC-broken frame and a frame cut short mid-header. *)
 
 (* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — table-based, no
    external dependency.  Int32 keeps it exact on 32- and 64-bit. *)
@@ -37,16 +34,19 @@ let crc_table =
          done;
          !c))
 
-let crc32 (s : string) ~pos ~len : int32 =
+let crc32_bytes (b : Bytes.t) ~pos ~len : int32 =
   let table = Lazy.force crc_table in
   let c = ref 0xFFFFFFFFl in
   for i = pos to pos + len - 1 do
     let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl)
     in
     c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
   done;
   Int32.logxor !c 0xFFFFFFFFl
+
+let crc32 (s : string) ~pos ~len = crc32_bytes (Bytes.unsafe_of_string s) ~pos ~len
 
 type msg =
   | M_spec of string  (** marshaled {!Work.spec}, supervisor → worker *)
@@ -60,9 +60,9 @@ type msg =
 (* A payload length beyond the cap is treated as corruption, not as a
    frame to wait for — it would otherwise make the reader buffer (or
    [Bytes.create]) unbounded garbage before detecting the bad CRC.
-   The default is generous; [--max-frame] tightens it per run, and
-   both the incremental parser and the blocking reader enforce it
-   {e before} allocating the payload. *)
+   The default is generous; [--max-frame] tightens it per run, on
+   both ends, and the parser enforces it {e before} buffering the
+   payload. *)
 let max_payload = 256 * 1024 * 1024
 
 let type_byte = function
@@ -73,17 +73,10 @@ let type_byte = function
   | M_error _ -> 'E'
   | M_quit -> 'Q'
 
-let put_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let get_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
+(* Big-endian u32 fields, shared with {!Checkpoint}'s records. *)
+let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
+let u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFFFFFF
+let get_u32 s pos = u32 (Bytes.unsafe_of_string s) pos
 
 let payload_of = function
   | M_spec s -> s
@@ -145,36 +138,19 @@ let encode (m : msg) : string =
   Buffer.add_string b payload;
   Buffer.contents b
 
-(* ------------------------------------------------------------------ *)
-(* Writing *)
-
-let rec write_all fd s pos len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s pos len in
-    write_all fd s (pos + n) (len - n)
-  end
-
-let write fd (m : msg) =
-  let s = encode m in
-  write_all fd s 0 (String.length s)
-
 (** A frame whose CRC cannot match its payload: header promises one
     payload, the bytes on the wire are different.  For the nemesis. *)
-let write_garbage fd =
-  let good = encode (M_heartbeat) in
-  (* flip the CRC bytes of an otherwise valid frame *)
-  let b = Bytes.of_string good in
+let garbage =
+  let b = Bytes.of_string (encode M_heartbeat) in
   Bytes.set b 7 (Char.chr (Char.code (Bytes.get b 7) lxor 0xFF));
-  write_all fd (Bytes.to_string b) 0 (Bytes.length b)
+  Bytes.to_string b
 
 (** Half a header, then nothing — what a worker killed mid-write
-    leaves on the pipe.  For the nemesis. *)
-let write_truncated fd =
-  let s = encode (M_done { unit_id = 0; blob = "truncated" }) in
-  write_all fd s 0 (min 7 (String.length s))
+    leaves on the wire.  For the nemesis. *)
+let truncated = String.sub (encode (M_done { unit_id = 0; blob = "truncated" })) 0 7
 
 (* ------------------------------------------------------------------ *)
-(* Incremental parsing (supervisor side) *)
+(* Incremental parsing *)
 
 (** The worker handshake: the first thing a worker writes on its frame
     channel.  Everything {e before} it is preamble the host binary
@@ -187,97 +163,83 @@ let hello = "ABCDIST-WORKER-1\n"
 
 let max_preamble = 65536
 
-type parser = { buf : Buffer.t; mutable await_hello : bool; max : int }
+(* Unconsumed bytes live in [buf] at [off, off + len).  Consumed
+   bytes are reclaimed lazily by {!feed}, so draining k buffered
+   frames costs O(bytes), not O(k * bytes). *)
+type parser = {
+  mutable buf : Bytes.t;
+  mutable off : int;
+  mutable len : int;
+  mutable await_hello : bool;
+  max : int;
+}
 
 let parser_create ?(await_hello = false) ?(max_payload = max_payload) () =
   if max_payload < 1 then invalid_arg "Frame.parser_create: max_payload must be >= 1";
-  { buf = Buffer.create 4096; await_hello; max = max_payload }
+  { buf = Bytes.create 4096; off = 0; len = 0; await_hello; max = max_payload }
 
 let awaiting_hello p = p.await_hello
 
-let feed p (b : Bytes.t) n = Buffer.add_subbytes p.buf b 0 n
+(* When the tail is full, slide the live bytes to the front if at
+   least as many are consumed as live (each byte moves O(1) times
+   amortized), else grow the buffer. *)
+let feed p (b : Bytes.t) n =
+  let cap = Bytes.length p.buf in
+  if p.off + p.len + n > cap then begin
+    let dst =
+      if p.off >= p.len && p.len + n <= cap then p.buf
+      else Bytes.create (max (2 * cap) (p.len + n))
+    in
+    Bytes.blit p.buf p.off dst 0 p.len;
+    p.buf <- dst;
+    p.off <- 0
+  end;
+  Bytes.blit b 0 p.buf (p.off + p.len) n;
+  p.len <- p.len + n
 
-(* First index of [hello] in [data], if any. *)
-let find_hello data =
-  let n = String.length data and hn = String.length hello in
+let consume p n =
+  p.off <- p.off + n;
+  p.len <- p.len - n;
+  if p.len = 0 then p.off <- 0
+
+(* Offset of the first [hello] in the unconsumed bytes, if any. *)
+let find_hello p =
+  let hn = String.length hello in
+  let rec matches i j =
+    j = hn || (Bytes.get p.buf (i + j) = hello.[j] && matches i (j + 1))
+  in
   let rec go i =
-    if i + hn > n then None
-    else if String.sub data i hn = hello then Some i
+    if i + hn > p.off + p.len then None
+    else if matches i 0 then Some (i - p.off)
     else go (i + 1)
   in
-  go 0
+  go p.off
 
 (** Extract the next complete frame.  [Ok None] = need more bytes;
     [Error _] = the stream is corrupt and must be abandoned. *)
 let rec next (p : parser) : (msg option, string) result =
-  if p.await_hello then begin
-    let data = Buffer.contents p.buf in
-    match find_hello data with
+  if p.await_hello then
+    match find_hello p with
     | Some i ->
         p.await_hello <- false;
-        Buffer.clear p.buf;
-        let tail = i + String.length hello in
-        Buffer.add_substring p.buf data tail (String.length data - tail);
+        consume p (i + String.length hello);
         next p
     | None ->
-        if String.length data > max_preamble then
-          Error "no worker handshake in the first 64KiB"
+        if p.len > max_preamble then Error "no worker handshake in the first 64KiB"
         else Ok None
-  end
+  else if p.len < 11 then Ok None
   else
-  let data = Buffer.contents p.buf in
-  let have = String.length data in
-  if have < 11 then Ok None
-  else if not (data.[0] = 'A' && data.[1] = 'B') then Error "bad frame magic"
-  else
-    let len = get_u32 data 3 in
-    if len < 0 || len > p.max then
-      Error (Printf.sprintf "frame length %d exceeds the %d-byte cap" len p.max)
-    else if have < 11 + len then Ok None
+    let b = p.buf and o = p.off in
+    if not (Bytes.get b o = 'A' && Bytes.get b (o + 1) = 'B') then
+      Error "bad frame magic"
     else
-      let crc_hdr = get_u32 data 7 in
-      let crc_real = Int32.to_int (crc32 data ~pos:11 ~len) land 0xFFFFFFFF in
-      if crc_hdr <> crc_real then Error "frame crc mismatch"
+      let len = u32 b (o + 3) in
+      if len > p.max then
+        Error (Printf.sprintf "frame length %d exceeds the %d-byte cap" len p.max)
+      else if p.len < 11 + len then Ok None
+      else if u32 b (o + 7) <> Int32.to_int (crc32_bytes b ~pos:(o + 11) ~len) land 0xFFFFFFFF
+      then Error "frame crc mismatch"
       else
-        match msg_of_payload data.[2] (String.sub data 11 len) with
-        | Error _ as e -> e
-        | Ok m ->
-            Buffer.clear p.buf;
-            Buffer.add_substring p.buf data (11 + len) (have - 11 - len);
-            Ok (Some m)
-
-(* ------------------------------------------------------------------ *)
-(* Blocking read (worker side) *)
-
-let really_read fd b pos len =
-  let got = ref 0 in
-  (try
-     while !got < len do
-       let n = Unix.read fd b (pos + !got) (len - !got) in
-       if n = 0 then raise Exit;
-       got := !got + n
-     done
-   with Exit -> ());
-  !got
-
-let read_blocking ?(max_payload = max_payload) fd : (msg, string) result =
-  let hdr = Bytes.create 11 in
-  match really_read fd hdr 0 11 with
-  | 0 -> Error "eof"
-  | n when n < 11 -> Error "eof inside frame header"
-  | _ ->
-      let hs = Bytes.to_string hdr in
-      if not (hs.[0] = 'A' && hs.[1] = 'B') then Error "bad frame magic"
-      else
-        let len = get_u32 hs 3 in
-        if len < 0 || len > max_payload then
-          Error (Printf.sprintf "frame length %d exceeds the %d-byte cap" len max_payload)
-        else
-          let payload = Bytes.create len in
-          if really_read fd payload 0 len < len then
-            Error "eof inside frame payload"
-          else
-            let ps = Bytes.to_string payload in
-            let crc_real = Int32.to_int (crc32 ps ~pos:0 ~len) land 0xFFFFFFFF in
-            if get_u32 hs 7 <> crc_real then Error "frame crc mismatch"
-            else msg_of_payload hs.[2] ps
+        let ty = Bytes.get b (o + 2) and payload = Bytes.sub_string b (o + 11) len in
+        consume p (11 + len);
+        Result.map Option.some (msg_of_payload ty payload)

@@ -26,8 +26,9 @@
                     checkpointing its S-th unit — the --resume test
     v}
 
-    Network faults, for socket workers ([abc serve]); on the pipe
-    transport they are inert (a pipe has no connections to refuse):
+    Network faults.  Every worker runs the same loop, so [ndrop] and
+    [npartial] act on pipe workers too; [nrefuse] and [ndup] need a
+    socket worker ([abc serve]) and are inert on a pipe:
 
     {v
       nrefuse:W@K   serve worker W slams its K-th {e connection} shut
@@ -35,11 +36,12 @@
                     (K counts connections, not units)
       ndrop:W@S     worker W computes its S-th unit, writes half the
                     result frame, and drops the connection — the
-                    mid-frame disconnect; the process survives and
-                    accepts the reconnect
+                    mid-frame disconnect; a socket worker survives and
+                    serves the reconnect, a pipe worker (which cannot
+                    redial) exits
       npartial:W@S  worker W dribbles its S-th result out in tiny
                     delayed writes — a benign fault proving the
-                    supervisor reassembles frames across TCP segment
+                    supervisor reassembles frames across read
                     boundaries
       ndup:W@S      after its S-th result, a {e self-registering}
                     worker (abc serve --connect) opens a duplicate

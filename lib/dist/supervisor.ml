@@ -14,12 +14,11 @@
     + {e Socket workers} ([lib/net]): endpoints from [--workers] are
       dialed through a {!Net.Registry} (health machine, reconnect
       budget, jittered backoff), and a [--listen] address accepts
-      {e self-registering} workers started with [abc serve].  Unit
-      {e leases} tie in-flight units to endpoints so a death re-leases
-      exactly what was lost.  Dealing is capacity-weighted
-      ([host:port*4] is offered work before a [*1] peer) — weights
-      shape wall-clock only, never output, because the merge consumes
-      units in unit order.
+      {e self-registering} workers started with [abc serve].  A dead
+      connection requeues exactly the unit it held.  Dealing is
+      capacity-weighted ([host:port*4] is offered work before a [*1]
+      peer) — weights shape wall-clock only, never output, because
+      the merge consumes units in unit order.
     + {e Subprocess workers}: this very binary re-executed over pipes
       (see {!Worker.maybe_run}), spawned only once no socket endpoint
       can come back.
@@ -108,25 +107,29 @@ let make_config ?(heartbeat = 30.0) ?checkpoint ?(resume = false)
 
 (* ------------------------------------------------------------------ *)
 
-(** Where a worker connection came from — it decides who may be
-    killed (only subprocesses have pids), who is reaped, and whose
-    endpoint health to update on loss. *)
-type origin =
-  | O_proc of int  (** spawned subprocess (pid) *)
-  | O_ep of int  (** dialed endpoint (registry index) *)
-  | O_accepted  (** self-registered through [--listen] *)
-
+(** One worker connection, whatever its origin: everything that
+    differs between a dialed endpoint, a self-registered worker and a
+    spawned subprocess is decided once, at {!add_worker}. *)
 type wrk = {
   w_id : int;
-  w_origin : origin;
   w_tr : Net.Transport.t;
+  w_rank : int;  (** dealing rank, lower is offered work first *)
+  w_pid : int option;  (** spawned subprocess to kill and reap *)
+  w_on_lost : string -> unit;  (** endpoint health update on loss *)
   w_parser : Frame.parser;
   mutable w_unit : int;  (** assigned unit id, [-1] when idle *)
   mutable w_last : float;  (** {!Mclock.now} of the last frame *)
   mutable w_dead : bool;
 }
 
-let is_socket = function O_proc _ -> false | O_ep _ | O_accepted -> true
+(* Dealing ranks: socket endpoints by capacity weight descending, then
+   self-registered workers, then subprocesses. *)
+let rank_endpoint (e : Net.Registry.endpoint) = -e.Net.Registry.ep_weight
+let rank_accepted = 0
+let rank_spawned = 1
+
+(* Only socket workers keep the socket rung of the ladder alive. *)
+let is_socket w = w.w_pid = None
 
 type ustate = Pending | Running of int (* worker id *) | Completed
 
@@ -141,25 +144,11 @@ type ust = {
   mutable u_divergences : int;
 }
 
-(* Deterministic jitter in [-0.25, +0.25), a splitmix64 finalizer of
-   (unit, attempt): retries of the same unit spread out, identically
-   on every run of the same history. *)
-let jitter ~unit_id ~attempt =
-  let open Int64 in
-  let z = add (of_int ((unit_id * 1_000_003) + attempt)) 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  let frac = to_float (logand z 0xFFFFFFL) /. 16_777_216.0 in
-  (frac -. 0.5) /. 2.0
-
-let backoff_base = 0.05
-let backoff_cap = 2.0
-
-let backoff ~unit_id ~attempt =
-  let exp = backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-  let d = min backoff_cap exp in
-  d *. (1.0 +. jitter ~unit_id ~attempt)
+(* Back to the queue, gated by the unit-retry backoff schedule. *)
+let retry_later (u : ust) =
+  u.u_state <- Pending;
+  u.u_not_before <-
+    Mclock.now () +. Net.Backoff.delay ~salt:1_000_003 ~key:u.u_id ~attempt:u.u_attempts
 
 let obs name args = if Obs.on () then Obs.instant "dist" name args
 
@@ -201,34 +190,20 @@ let send st (w : wrk) m =
     ~deadline:(Mclock.now () +. st.cfg.cf_heartbeat)
     w.w_tr (Frame.encode m)
 
-let endpoint_of st (w : wrk) =
-  match w.w_origin with
-  | O_ep i -> Some (Net.Registry.get st.reg i)
-  | O_proc _ | O_accepted -> None
-
-(* The worker no longer owns a unit: drop the lease mirror too. *)
-let clear_assignment st (w : wrk) =
-  (match endpoint_of st w with
-  | Some e -> Net.Registry.unlease e
-  | None -> ());
-  w.w_unit <- -1
-
 (* Put a worker's unit (if any) back on the queue with backoff. *)
 let requeue st (w : wrk) ~why =
   if w.w_unit >= 0 then begin
     let u = st.units.(w.w_unit) in
     (match u.u_state with
     | Running wid when wid = w.w_id ->
-        u.u_state <- Pending;
-        u.u_not_before <-
-          Mclock.now () +. backoff ~unit_id:u.u_id ~attempt:u.u_attempts;
+        retry_later u;
         if not st.quiet then
           say "unit %d requeued (%s, worker %d, attempt %d)" u.u_id why w.w_id
             u.u_attempts;
         obs "requeue"
           [ ("unit", Obs.I u.u_id); ("worker", Obs.I w.w_id); ("why", Obs.S why) ]
     | _ -> ());
-    clear_assignment st w
+    w.w_unit <- -1
   end
 
 let mark_dead st (w : wrk) ~why =
@@ -236,42 +211,43 @@ let mark_dead st (w : wrk) ~why =
     w.w_dead <- true;
     requeue st w ~why;
     Net.Transport.close w.w_tr;
-    match endpoint_of st w with
-    | Some e -> ignore (Net.Registry.mark_lost e ~why)
-    | None -> ()
+    w.w_on_lost why
   end
 
 let quarantine st (w : wrk) ~why =
   if not w.w_dead then begin
     if not st.quiet then say "worker %d quarantined: %s" w.w_id why;
     obs "quarantine" [ ("worker", Obs.I w.w_id); ("why", Obs.S why) ];
-    (match w.w_origin with
-    | O_proc pid -> kill_quiet pid
-    | O_ep _ | O_accepted -> () (* no pid to kill: dropping the
-                                    connection is the whole sanction *));
+    (* a socket worker has no pid: dropping the connection is the
+       whole sanction *)
+    Option.iter kill_quiet w.w_pid;
     mark_dead st w ~why
   end
 
 (* ------------------------------------------------------------------ *)
 (* Provisioning: dial endpoints, accept registrations, spawn pipes *)
 
-let add_worker st ~origin ~tr =
-  let id = st.next_worker_id in
-  st.next_worker_id <- id + 1;
+let new_worker ?pid ?(on_lost = ignore) ~id ~rank ~max_frame tr =
+  {
+    w_id = id;
+    w_tr = tr;
+    w_rank = rank;
+    w_pid = pid;
+    w_on_lost = on_lost;
+    w_parser = Frame.parser_create ~await_hello:true ~max_payload:max_frame ();
+    w_unit = -1;
+    w_last = Mclock.now ();
+    w_dead = false;
+  }
+
+let add_worker ?pid ?on_lost st ~rank tr =
   let w =
-    {
-      w_id = id;
-      w_origin = origin;
-      w_tr = tr;
-      w_parser =
-        Frame.parser_create ~await_hello:true ~max_payload:st.cfg.cf_max_frame ();
-      w_unit = -1;
-      w_last = Mclock.now ();
-      w_dead = false;
-    }
+    new_worker ?pid ?on_lost ~id:st.next_worker_id ~rank
+      ~max_frame:st.cfg.cf_max_frame tr
   in
+  st.next_worker_id <- w.w_id + 1;
   st.workers <- w :: st.workers;
-  if is_socket origin then st.net_last <- Mclock.now ();
+  if is_socket w then st.net_last <- Mclock.now ();
   (* the spec goes down immediately; a worker that dies before
      reading it shows up as EOF like any other death *)
   (match send st w (Frame.M_spec st.spec_bytes) with
@@ -297,12 +273,14 @@ let dial_endpoints st =
       match Net.Transport.connect ~deadline e.Net.Registry.ep_addr with
       | Error why ->
           if not st.quiet then say "%s" why;
-          ignore (Net.Registry.mark_lost e ~why)
+          Net.Registry.mark_lost e ~why
       | Ok tr ->
           Net.Registry.mark_ready e;
           st.net_last <- Mclock.now ();
           let w =
-            add_worker st ~origin:(O_ep e.Net.Registry.ep_id) ~tr
+            add_worker st ~rank:(rank_endpoint e)
+              ~on_lost:(fun why -> Net.Registry.mark_lost e ~why)
+              tr
           in
           if not st.quiet then
             say "endpoint %d (%s) connected as worker %d"
@@ -318,7 +296,7 @@ let accept_registration st =
       match Net.Transport.accept l with
       | Error why -> if not st.quiet then say "accept failed: %s" why
       | Ok tr ->
-          let w = add_worker st ~origin:O_accepted ~tr in
+          let w = add_worker st ~rank:rank_accepted tr in
           if not st.quiet then
             say "worker %d self-registered from %s" w.w_id
               (Net.Transport.peer tr);
@@ -335,7 +313,11 @@ let spawn st =
   let sup_read, child_stdout = Unix.pipe ~cloexec:true () in
   let env =
     Array.append (Unix.environment ())
-      [| Worker.env_binding ~id:st.next_worker_id ~nemesis:st.cfg.cf_nemesis |]
+      [|
+        Worker.env_binding
+          (Worker.cfg ~id:st.next_worker_id ~nemesis:st.cfg.cf_nemesis
+             ~max_frame:st.cfg.cf_max_frame Worker.Pipe);
+      |]
   in
   match
     Unix.create_process_env exe [| exe |] env child_stdin child_stdout
@@ -352,7 +334,7 @@ let spawn st =
       close_quiet child_stdin;
       close_quiet child_stdout;
       let tr = Net.Transport.of_pipe ~read_fd:sup_read ~write_fd:sup_write in
-      let w = add_worker st ~origin:(O_proc pid) ~tr in
+      let w = add_worker st ~pid ~rank:rank_spawned tr in
       obs "spawn" [ ("worker", Obs.I w.w_id); ("pid", Obs.I pid) ];
       Some w
 
@@ -394,8 +376,7 @@ let divergence st (u : ust) ~(sender : wrk option) ~what =
   else begin
     (* arbitration: discard what we had (if anything) and re-run *)
     u.u_blob <- None;
-    u.u_state <- Pending;
-    u.u_not_before <- Mclock.now () +. backoff ~unit_id:u.u_id ~attempt:u.u_attempts;
+    retry_later u;
     say "unit %d: divergent result, re-running to arbitrate" u.u_id
   end
 
@@ -404,21 +385,27 @@ let divergence st (u : ust) ~(sender : wrk option) ~what =
    capture off, e.g. in-process fallback) abstains. *)
 let digests_disagree a b = a <> "" && b <> "" && a <> b
 
+(* The one validator for a unit result, shared by worker replies and
+   resumed journal records: decode it, then [valid] iff it names the
+   unit it claims to answer and its payload re-checksums to the
+   checksum it carries. *)
+let check_blob st ~unit_id blob_bytes =
+  Result.map
+    (fun blob ->
+      ( blob,
+        blob.Work.b_unit = unit_id
+        && Work.payload_checksum st.spec blob.Work.b_payload
+           = Ok blob.Work.b_checksum ))
+    (Work.decode_blob blob_bytes)
+
 let handle_result st (w : wrk) ~unit_id ~(blob_bytes : string) =
   if unit_id < 0 || unit_id >= Array.length st.units then
     quarantine st w ~why:(Printf.sprintf "reply for unknown unit %d" unit_id)
   else
     let u = st.units.(unit_id) in
-    match Work.decode_blob blob_bytes with
+    match check_blob st ~unit_id blob_bytes with
     | Error e -> quarantine st w ~why:e
-    | Ok blob -> (
-        let valid =
-          blob.Work.b_unit = unit_id
-          &&
-          match Work.payload_checksum st.spec blob.Work.b_payload with
-          | Ok c -> c = blob.Work.b_checksum
-          | Error _ -> false
-        in
+    | Ok (blob, valid) -> (
         match u.u_state with
         | Completed -> (
             (* duplicate (late retransmit or dup nemesis) *)
@@ -430,10 +417,10 @@ let handle_result st (w : wrk) ~unit_id ~(blob_bytes : string) =
                         (digests_disagree prev.Work.b_digest blob.Work.b_digest)
               ->
                 obs "duplicate" [ ("unit", Obs.I unit_id) ];
-                if w.w_unit = unit_id then clear_assignment st w
+                if w.w_unit = unit_id then w.w_unit <- -1
             | _ -> divergence st u ~sender:(Some w) ~what:"duplicate disagrees")
         | Pending | Running _ ->
-            if w.w_unit = unit_id then clear_assignment st w;
+            if w.w_unit = unit_id then w.w_unit <- -1;
             if not valid then divergence st u ~sender:(Some w) ~what:"checksum mismatch"
             else begin
               (match u.u_blob with
@@ -456,7 +443,7 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
   | Frame.M_error { unit_id; message } ->
       say "worker %d: unit %d raised: %s" w.w_id unit_id message;
       obs "worker-error" [ ("unit", Obs.I unit_id); ("worker", Obs.I w.w_id) ];
-      if w.w_unit = unit_id then clear_assignment st w;
+      if w.w_unit = unit_id then w.w_unit <- -1;
       if unit_id >= 0 && unit_id < Array.length st.units then begin
         let u = st.units.(unit_id) in
         match u.u_state with
@@ -468,11 +455,7 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
                       "unit %d failed %d times, last error: %s — replay: %s"
                       unit_id u.u_attempts message
                       (Work.shard_repro st.spec ~lo:u.u_lo)))
-            else begin
-              u.u_state <- Pending;
-              u.u_not_before <-
-                Mclock.now () +. backoff ~unit_id ~attempt:u.u_attempts
-            end
+            else retry_later u
         | _ -> ()
       end
   | Frame.M_spec _ | Frame.M_request _ | Frame.M_quit ->
@@ -484,8 +467,8 @@ let handle_msg st (w : wrk) (m : Frame.msg) =
 let reap st =
   List.iter
     (fun w ->
-      match w.w_origin with
-      | O_proc pid when not w.w_dead -> (
+      match w.w_pid with
+      | Some pid when not w.w_dead -> (
           match Unix.waitpid [ WNOHANG ] pid with
           | 0, _ -> ()
           | _, _ -> mark_dead st w ~why:"worker exited"
@@ -493,21 +476,14 @@ let reap st =
       | _ -> ())
     st.workers
 
-(* Idle workers in dealing order: socket endpoints first (capacity
-   weight descending, then endpoint id), then self-registered
-   workers, then subprocesses — a deterministic preference for the
-   biggest remote boxes.  Order shapes wall-clock only; the merge is
-   in unit order regardless. *)
-let deal_order st =
-  let key w =
-    match w.w_origin with
-    | O_ep i -> (0, -(Net.Registry.get st.reg i).Net.Registry.ep_weight, w.w_id)
-    | O_accepted -> (1, 0, w.w_id)
-    | O_proc _ -> (2, 0, w.w_id)
-  in
-  live_workers st
-  |> List.filter (fun w -> w.w_unit = -1)
-  |> List.stable_sort (fun a b -> compare (key a) (key b))
+(** Idle live workers in dealing order: ascending rank, then worker
+    id — a deterministic preference for the biggest remote boxes.
+    Order shapes wall-clock only; the merge is in unit order
+    regardless. *)
+let deal_order (workers : wrk list) =
+  workers
+  |> List.filter (fun w -> (not w.w_dead) && w.w_unit = -1)
+  |> List.stable_sort (fun a b -> compare (a.w_rank, a.w_id) (b.w_rank, b.w_id))
 
 let dispatch st =
   let now = Mclock.now () in
@@ -539,13 +515,10 @@ let dispatch st =
                 u.u_attempts <- u.u_attempts + 1;
                 w.w_unit <- u.u_id;
                 w.w_last <- now;
-                (match endpoint_of st w with
-                | Some e -> Net.Registry.lease e ~unit_id:u.u_id
-                | None -> ());
                 obs "dispatch"
                   [ ("unit", Obs.I u.u_id); ("worker", Obs.I w.w_id) ]
             | exception _ -> mark_dead st w ~why:"request write failed"))
-    (deal_order st)
+    (deal_order st.workers)
 
 (* A pending unit that has exhausted its dispatch budget is a hard
    error — checked centrally so timeouts and deaths hit it too. *)
@@ -583,7 +556,7 @@ let read_ready st fds =
           | 0 -> mark_dead st w ~why:"eof"
           | n -> (
               Frame.feed w.w_parser buf n;
-              if is_socket w.w_origin then st.net_last <- Mclock.now ();
+              if is_socket w then st.net_last <- Mclock.now ();
               let rec drain () =
                 if not w.w_dead then
                   match Frame.next w.w_parser with
@@ -659,17 +632,12 @@ let terminate st =
     (fun w ->
       if not w.w_dead then begin
         (try send st w Frame.M_quit with _ -> ());
-        (match w.w_origin with
-        | O_proc pid -> kill_quiet pid
-        | O_ep _ | O_accepted -> ());
+        Option.iter kill_quiet w.w_pid;
         Net.Transport.close w.w_tr;
         w.w_dead <- true
       end)
     st.workers;
-  List.iter
-    (fun w ->
-      match w.w_origin with O_proc pid -> reap_quiet pid | _ -> ())
-    st.workers;
+  List.iter (fun w -> Option.iter reap_quiet w.w_pid) st.workers;
   st.workers <- [];
   (match st.listener with
   | Some l ->
@@ -729,16 +697,13 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
           List.iter
             (fun (uid, blob_bytes) ->
               if uid >= 0 && uid < Array.length st.units then
-                match Work.decode_blob blob_bytes with
-                | Error _ -> ()
-                | Ok blob -> (
-                    match Work.payload_checksum spec blob.Work.b_payload with
-                    | Ok c when c = blob.Work.b_checksum ->
-                        let u = st.units.(uid) in
-                        if u.u_state <> Completed then incr recovered;
-                        u.u_blob <- Some blob;
-                        u.u_state <- Completed
-                    | _ -> ()))
+                match check_blob st ~unit_id:uid blob_bytes with
+                | Ok (blob, true) ->
+                    let u = st.units.(uid) in
+                    if u.u_state <> Completed then incr recovered;
+                    u.u_blob <- Some blob;
+                    u.u_state <- Completed
+                | _ -> ())
             records;
           say "resumed %d/%d units from %s" !recovered (Array.length st.units)
             path;
@@ -783,7 +748,7 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
       let socket_alive now =
         net_mode
         && (Net.Registry.alive st.reg
-           || List.exists (fun w -> is_socket w.w_origin) (live_workers st)
+           || List.exists is_socket (live_workers st)
            || (st.listener <> None && now -. st.net_last <= listen_grace))
       in
       let out_of_workers () =
@@ -829,29 +794,6 @@ let run_units ?(quiet = false) (cfg : config) (spec : Work.spec) : Work.blob arr
                read_ready st worker_fds
            | exception Unix.Unix_error (EINTR, _, _) -> ());
         check_heartbeats st;
-        if Sys.getenv_opt "ABC_DIST_DEBUG" <> None then
-          say "loop: pending=%d live=%d reg=[%s] units=[%s] workers=[%s]"
-            (pending_count st)
-            (List.length (live_workers st))
-            (Net.Registry.summary st.reg)
-            (String.concat ";"
-               (Array.to_list
-                  (Array.map
-                     (fun u ->
-                       Printf.sprintf "%d:%s:a%d" u.u_id
-                         (match u.u_state with
-                         | Pending -> "P"
-                         | Running w -> "R" ^ string_of_int w
-                         | Completed -> "C")
-                         u.u_attempts)
-                     st.units)))
-            (String.concat ";"
-               (List.map
-                  (fun w ->
-                    Printf.sprintf "%d:%s:u%d" w.w_id
-                      (if w.w_dead then "dead" else "live")
-                      w.w_unit)
-                  st.workers))
       done;
       (* anything left means every rung above died: degrade gracefully *)
       fallback st;

@@ -18,32 +18,20 @@
       [ep_not_before] passes.
     - {e Ready}: a live connection is serving frames.
     - {e Suspect}: the last connection died (refused, EOF, corrupt
-      stream, heartbeat kill); a reconnect is scheduled after the
-      same splitmix64-jittered exponential backoff the supervisor
-      uses for unit retries, keyed on (endpoint, attempt) — fully
+      stream, heartbeat kill); a reconnect is scheduled after a
+      {!Backoff} delay keyed on (endpoint, attempt) — fully
       deterministic per history.
-    - {e Dead}: the reconnect budget is spent; the endpoint's leased
-      unit (if any) has been re-leased and it will never be dialed
-      again this run.
+    - {e Dead}: the reconnect budget is spent; it will never be
+      dialed again this run.
 
-    Leases tie unit ids to endpoints so that an endpoint death can
-    hand exactly its in-flight unit back ({!release}); the merge
-    consumes units in unit order regardless, so lease history never
-    shows in the report — only in the Obs trace.
-
-    Dealing is {e capacity-weighted}: {!deal_order} ranks ready
-    endpoints by declared weight (descending, then endpoint id), so
-    a box advertised as [host:port*4] is offered work before a
-    [*1] peer whenever both are idle.  Weights shape wall-clock
-    only, never output. *)
+    Which unit an endpoint holds is the supervisor's business (its
+    worker record), not the registry's: an endpoint death requeues
+    that unit there, and the merge consumes units in unit order
+    regardless, so reassignment history never shows in the report —
+    only in the Obs trace.  Capacity weights ([host:port*4]) likewise
+    feed the supervisor's one dealing order. *)
 
 type health = Connecting | Ready | Suspect | Dead
-
-let health_name = function
-  | Connecting -> "connecting"
-  | Ready -> "ready"
-  | Suspect -> "suspect"
-  | Dead -> "dead"
 
 type endpoint = {
   ep_id : int;
@@ -53,30 +41,9 @@ type endpoint = {
   mutable ep_attempts : int;  (** connect attempts so far *)
   mutable ep_not_before : float;  (** backoff gate, {!Mclock.now} scale *)
   mutable ep_budget : int;  (** remaining dial attempts *)
-  mutable ep_lease : int;  (** leased unit id, [-1] = none *)
-  mutable ep_disconnects : int;  (** lifetime connection losses *)
 }
 
 type t = { eps : endpoint array }
-
-(* Same splitmix64 finalizer as the supervisor's unit-retry jitter,
-   keyed on (endpoint, attempt): reconnects of one endpoint spread
-   out, identically on every run of the same history. *)
-let jitter ~ep ~attempt =
-  let open Int64 in
-  let z = add (of_int ((ep * 999_983) + attempt)) 0x9E3779B97F4A7C15L in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = logxor z (shift_right_logical z 31) in
-  let frac = to_float (logand z 0xFFFFFFL) /. 16_777_216.0 in
-  (frac -. 0.5) /. 2.0
-
-let backoff_base = 0.05
-let backoff_cap = 2.0
-
-let backoff ~ep ~attempt =
-  let exp = backoff_base *. (2.0 ** float_of_int (max 0 (attempt - 1))) in
-  min backoff_cap exp *. (1.0 +. jitter ~ep ~attempt)
 
 let obs name (e : endpoint) extra =
   if Obs.on () then
@@ -101,8 +68,6 @@ let make ?(budget = default_budget) (addrs : (Transport.addr * int) list) : t =
                ep_attempts = 0;
                ep_not_before = 0.0;
                ep_budget = max 1 budget;
-               ep_lease = -1;
-               ep_disconnects = 0;
              })
            addrs);
   }
@@ -135,7 +100,6 @@ let parse_workers (s : string) : ((Transport.addr * int) list, string) result =
     go [] items
 
 let get (t : t) i = t.eps.(i)
-let count (t : t) = Array.length t.eps
 
 (** Any endpoint that might still serve (not Dead)? *)
 let alive (t : t) = Array.exists (fun e -> e.ep_health <> Dead) t.eps
@@ -157,49 +121,17 @@ let mark_ready (e : endpoint) =
   e.ep_health <- Ready;
   obs "ep-ready" e []
 
-(** The endpoint's connection failed or died.  Returns the unit id it
-    was leasing ([-1] if idle) — the caller re-queues it (re-lease).
-    Schedules the next dial with jittered backoff, or transitions to
-    Dead when the budget is gone. *)
-let mark_lost (e : endpoint) ~why : int =
-  let lease = e.ep_lease in
-  e.ep_lease <- -1;
-  if e.ep_health = Ready then e.ep_disconnects <- e.ep_disconnects + 1;
+(** The endpoint's connection failed or died: schedule the next dial
+    with jittered backoff, or go Dead when the budget is gone. *)
+let mark_lost (e : endpoint) ~why =
   if e.ep_budget <= 0 then begin
     e.ep_health <- Dead;
     obs "ep-dead" e [ ("why", Obs.S why) ]
   end
   else begin
     e.ep_health <- Suspect;
-    e.ep_not_before <- Mclock.now () +. backoff ~ep:e.ep_id ~attempt:e.ep_attempts;
+    e.ep_not_before <-
+      Mclock.now ()
+      +. Backoff.delay ~salt:999_983 ~key:e.ep_id ~attempt:e.ep_attempts;
     obs "ep-suspect" e [ ("why", Obs.S why) ]
-  end;
-  lease
-
-let lease (e : endpoint) ~unit_id =
-  e.ep_lease <- unit_id;
-  obs "lease" e [ ("unit", Obs.I unit_id) ]
-
-let unlease (e : endpoint) = e.ep_lease <- -1
-
-(** Ready endpoints in dealing order: weight descending, then id —
-    a deterministic order, and one that offers work to the biggest
-    boxes first. *)
-let deal_order (t : t) : endpoint list =
-  Array.to_list t.eps
-  |> List.filter (fun e -> e.ep_health = Ready)
-  |> List.stable_sort (fun a b ->
-         match compare b.ep_weight a.ep_weight with
-         | 0 -> compare a.ep_id b.ep_id
-         | c -> c)
-
-(** One-line fleet summary for stderr diagnostics. *)
-let summary (t : t) : string =
-  String.concat " "
-    (Array.to_list
-       (Array.map
-          (fun e ->
-            Printf.sprintf "%d:%s:%s" e.ep_id
-              (Transport.addr_to_string e.ep_addr)
-              (health_name e.ep_health))
-          t.eps))
+  end

@@ -329,7 +329,16 @@ let supervisor_tests =
             | Error e -> Alcotest.failf "bad spec %s: %s" spec e
             | Ok nemesis ->
                 check_identical spec (run_sharded ~shards:2 ~nemesis ()))
-          [ "kill:0@1"; "corrupt:1@1"; "dup:0@1"; "flip:1@1"; "trunc:0@2" ]);
+          [
+            "kill:0@1";
+            "corrupt:1@1";
+            "dup:0@1";
+            "flip:1@1";
+            "trunc:0@2";
+            (* network faults act on pipe workers too: ndrop sends half
+               a reply and exits (a pipe cannot redial) *)
+            "ndrop:0@1,npartial:1@1";
+          ]);
     Alcotest.test_case "identical across a stall + heartbeat kill" `Slow
       (fun () ->
         match Dist.Nemesis.parse "stall:0@1" with

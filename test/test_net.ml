@@ -1,12 +1,14 @@
 (* Tests for lib/net and the socket-provisioned supervisor: address
    grammar, deadline-bounded transports (pipe, Unix-domain, TCP with
-   kernel-assigned ports), the endpoint registry's health machine and
-   capacity-weighted dealing, the --max-frame cap at its exact
+   kernel-assigned ports), the shared retry backoff (pinned per
+   caller), the endpoint registry's health machine, the supervisor's
+   capacity-weighted dealing order, the --max-frame cap at its exact
    boundary, a qcheck fuzz of the frame decoder over real pipe and
    socket byte streams (truncation, bit flips, garbage preambles must
-   round-trip or fail typed — never crash or hang), and — with real
-   [abc serve] worker subprocesses (this very test binary, re-executed
-   via Dist.Serve.maybe_run) — the determinism contract over sockets:
+   round-trip or fail typed — never crash or hang) plus its
+   chunking-invariance differential, and — with real [abc serve]
+   worker subprocesses (this very test binary, re-executed via
+   Dist.Worker.maybe_run) — the determinism contract over sockets:
    campaigns stay byte-identical to serial under every network
    nemesis, across a forced re-lease, down the degradation ladder
    (dead endpoints -> subprocess workers -> in-process pool), and
@@ -158,7 +160,54 @@ let transport_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Endpoint registry: health machine, leases, weighted dealing *)
+(* Retry backoff: one definition, three salted schedules *)
+
+let backoff_tests =
+  [
+    Alcotest.test_case "backoff: deterministic, bounded, pinned per salt"
+      `Quick (fun () ->
+        let salts = [ 1_000_003; 999_983; 777_767 ] in
+        List.iter
+          (fun salt ->
+            for key = 0 to 9 do
+              for attempt = 1 to 12 do
+                let d = Net.Backoff.delay ~salt ~key ~attempt in
+                if d <> Net.Backoff.delay ~salt ~key ~attempt then
+                  Alcotest.failf "salt %d key %d attempt %d not deterministic"
+                    salt key attempt;
+                let base =
+                  Float.min 2.0 (0.05 *. (2.0 ** float_of_int (attempt - 1)))
+                in
+                if d < 0.75 *. base || d > 1.25 *. base then
+                  Alcotest.failf "salt %d key %d attempt %d: %g outside [%g, %g]"
+                    salt key attempt d (0.75 *. base) (1.25 *. base)
+              done
+            done)
+          salts;
+        (* pinned to the bit, three values per caller's salt (unit
+           retry, endpoint redial, worker redial): any change to a
+           retry schedule shows here *)
+        List.iter
+          (fun (salt, key, attempt, want) ->
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "salt %d key %d attempt %d" salt key attempt)
+              want
+              (Net.Backoff.delay ~salt ~key ~attempt))
+          [
+            (1_000_003, 1, 1, 0x1.53f835999999ap-5);
+            (1_000_003, 3, 2, 0x1.f99efcccccccdp-4);
+            (1_000_003, 7, 5, 0x1.643d7cccccccdp-1);
+            (999_983, 2, 1, 0x1.967b6a6666667p-5);
+            (999_983, 1, 3, 0x1.60d6a73333334p-3);
+            (999_983, 4, 7, 0x1.962d1ep+0);
+            (777_767, 1, 1, 0x1.bc7fdf3333334p-5);
+            (777_767, 2, 4, 0x1.417d2b3333334p-2);
+            (777_767, 5, 9, 0x1.9314f7p+0);
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Endpoint registry health machine; the supervisor's dealing order *)
 
 let registry_tests =
   [
@@ -176,7 +225,7 @@ let registry_tests =
             | Error _ -> ()
             | Ok _ -> Alcotest.failf "accepted %S" bad)
           [ ""; ","; "h:0"; "h:7001*x"; "h:7001*0" ]);
-    Alcotest.test_case "health machine: lease handback and budget to Dead"
+    Alcotest.test_case "health machine: backoff gate and budget to Dead"
       `Quick (fun () ->
         let reg =
           Net.Registry.make ~budget:2
@@ -192,16 +241,7 @@ let registry_tests =
         Net.Registry.mark_ready e0;
         Net.Registry.dialing e1;
         Net.Registry.mark_ready e1;
-        (* dealing is weight-descending: the *3 box is offered first *)
-        Alcotest.(check (list int))
-          "deal order" [ 1; 0 ]
-          (List.map
-             (fun e -> e.Net.Registry.ep_id)
-             (Net.Registry.deal_order reg));
-        Net.Registry.lease e0 ~unit_id:5;
-        (* the death of a leased endpoint hands exactly its unit back *)
-        Alcotest.(check int) "lease handed back" 5
-          (Net.Registry.mark_lost e0 ~why:"test");
+        Net.Registry.mark_lost e0 ~why:"test";
         Alcotest.(check bool) "suspect, not dead" true
           (e0.Net.Registry.ep_health = Net.Registry.Suspect);
         (* backoff gates the redial: not due now, due after the gate *)
@@ -214,17 +254,49 @@ let registry_tests =
           (List.map (fun e -> e.Net.Registry.ep_id)
              (Net.Registry.due reg ~now:(Mclock.now () +. 60.0)));
         Net.Registry.dialing e0;
-        Alcotest.(check int) "idle loss leases nothing" (-1)
-          (Net.Registry.mark_lost e0 ~why:"test");
+        Net.Registry.mark_lost e0 ~why:"test";
         Alcotest.(check bool) "budget spent: dead" true
           (e0.Net.Registry.ep_health = Net.Registry.Dead);
         Alcotest.(check bool) "fleet still alive via e1" true
           (Net.Registry.alive reg);
-        ignore (Net.Registry.mark_lost e1 ~why:"test");
+        Net.Registry.mark_lost e1 ~why:"test";
         Net.Registry.dialing e1;
-        ignore (Net.Registry.mark_lost e1 ~why:"test");
+        Net.Registry.mark_lost e1 ~why:"test";
         Alcotest.(check bool) "all budgets spent: fleet dead" false
           (Net.Registry.alive reg));
+    Alcotest.test_case "dispatch deals by weight, then registered, then spawned"
+      `Quick (fun () ->
+        (* the ranking Supervisor.dispatch walks, over worker records
+           built the way add_worker builds them *)
+        let reg =
+          Net.Registry.make
+            [
+              (Net.Transport.Tcp ("127.0.0.1", 7001), 1);
+              (Net.Transport.Unix_sock "/tmp/w.sock", 3);
+            ]
+        in
+        let r, w = Unix.pipe () in
+        let tr = Net.Transport.of_pipe ~read_fd:r ~write_fd:w in
+        let mk id rank =
+          Dist.Supervisor.new_worker ~id ~rank ~max_frame:Dist.Frame.max_payload tr
+        in
+        let module S = Dist.Supervisor in
+        let workers =
+          [
+            mk 0 S.rank_spawned;
+            mk 1 (S.rank_endpoint (Net.Registry.get reg 0));
+            mk 2 S.rank_accepted;
+            mk 3 (S.rank_endpoint (Net.Registry.get reg 1));
+            mk 4 S.rank_spawned;
+          ]
+        in
+        let order ws = List.map (fun w -> w.S.w_id) (S.deal_order ws) in
+        Alcotest.(check (list int)) "deal order" [ 3; 1; 2; 0; 4 ] (order workers);
+        (* busy or dead workers are not offered work *)
+        (List.nth workers 4).S.w_unit <- 7;
+        (List.nth workers 1).S.w_dead <- true;
+        Alcotest.(check (list int)) "idle live only" [ 3; 2; 0 ] (order workers);
+        Net.Transport.close tr);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -280,16 +352,21 @@ let max_frame_tests =
         | Error e when contains e "cap" -> ()
         | Error e -> Alcotest.failf "wrong error: %s" e
         | Ok _ -> Alcotest.fail "2 GiB length prefix accepted");
-        (* and the blocking worker-side reader does the same *)
-        let r, w = Unix.pipe () in
+        (* and the worker loop, reading through the same parser, hangs
+           up on it — with the supervisor's end still open, so waiting
+           for the claimed payload would block forever *)
+        let r, w = Unix.pipe () and r_back, w_back = Unix.pipe () in
         let n = Unix.write_substring w hdr 0 (String.length hdr) in
         Alcotest.(check int) "header written" (String.length hdr) n;
-        (match Dist.Frame.read_blocking ~max_payload:1024 r with
-        | Error e when contains e "cap" -> ()
-        | Error e -> Alcotest.failf "read_blocking wrong error: %s" e
-        | Ok _ -> Alcotest.fail "read_blocking accepted a 2 GiB prefix");
-        Unix.close r;
-        Unix.close w);
+        let cfg = Dist.Worker.cfg ~id:0 ~max_frame:1024 Dist.Worker.Pipe in
+        (match
+           Dist.Worker.serve_conn cfg ~ordinal:(Atomic.make 0) ~redial:ignore
+             (Net.Transport.of_pipe ~read_fd:r ~write_fd:w_back)
+         with
+        | Dist.Worker.C_peer -> ()
+        | _ -> Alcotest.fail "worker did not hang up on a 2 GiB prefix");
+        Unix.close w;
+        Unix.close r_back);
     Alcotest.test_case "a non-positive cap is rejected up front" `Quick
       (fun () ->
         (match Dist.Frame.parser_create ~max_payload:0 () with
@@ -369,33 +446,62 @@ let fuzz_arb =
       (int_bound 3) (* 0 clean | 1 truncate | 2 flip | 3 garbage preamble *)
       small_nat small_nat)
 
+(* The stream one fuzz draw describes: the messages, whether the
+   parser must await the handshake, and the bytes on the wire. *)
+let fuzz_stream (idxs, kind, pos, byte) =
+  let msgs = List.map (List.nth sample_msgs) idxs in
+  let clean = String.concat "" (List.map Dist.Frame.encode msgs) in
+  let len = String.length clean in
+  let data =
+    match kind with
+    | 0 -> clean
+    | 1 -> String.sub clean 0 (pos mod (len + 1))
+    | 2 ->
+        let b = Bytes.of_string clean in
+        let i = pos mod len in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 + (byte mod 255))));
+        Bytes.to_string b
+    | _ ->
+        (* garbage before the preamble: an await_hello parser must
+           skip it and still deliver every message *)
+        String.init
+          (1 + (byte mod 48))
+          (fun i -> Char.chr ((pos + (i * 7)) land 0xff))
+        ^ Dist.Frame.hello ^ clean
+  in
+  (msgs, kind = 3, data)
+
+(* Feed [data] to a fresh parser [chunk] bytes at a time, draining
+   after each piece; the parsed messages and the first error. *)
+let decode_chunked ~chunk ~await_hello data =
+  let p = Dist.Frame.parser_create ~await_hello () in
+  let got = ref [] in
+  let rec drain () =
+    match Dist.Frame.next p with
+    | Ok (Some m) ->
+        got := m :: !got;
+        drain ()
+    | Ok None -> None
+    | Error e -> Some e
+  in
+  let rec go pos =
+    if pos >= String.length data then drain ()
+    else
+      let n = min chunk (String.length data - pos) in
+      Dist.Frame.feed p (Bytes.of_string (String.sub data pos n)) n;
+      match drain () with Some e -> Some e | None -> go (pos + n)
+  in
+  let err = go 0 in
+  (List.rev !got, err)
+
 let frame_fuzz_tests =
   [
     prop "mutated frame streams never crash the decoder (pipe + socket)" 60
       fuzz_arb
-      (fun (idxs, kind, pos, byte) ->
-        let msgs = List.map (List.nth sample_msgs) idxs in
-        let clean = String.concat "" (List.map Dist.Frame.encode msgs) in
-        let len = String.length clean in
-        let await_hello = kind = 3 in
-        let data =
-          match kind with
-          | 0 -> clean
-          | 1 -> String.sub clean 0 (pos mod (len + 1))
-          | 2 ->
-              let b = Bytes.of_string clean in
-              let i = pos mod len in
-              Bytes.set b i
-                (Char.chr (Char.code (Bytes.get b i) lxor (1 + (byte mod 255))));
-              Bytes.to_string b
-          | _ ->
-              (* garbage before the preamble: an await_hello parser
-                 must skip it and still deliver every message *)
-              String.init
-                (1 + (byte mod 48))
-                (fun i -> Char.chr ((pos + (i * 7)) land 0xff))
-              ^ Dist.Frame.hello ^ clean
-        in
+      (fun draw ->
+        let msgs, await_hello, data = fuzz_stream draw in
+        let _, kind, _, _ = draw in
         List.for_all
           (fun transport ->
             let got, err = decode_over transport ~await_hello data in
@@ -413,14 +519,20 @@ let frame_fuzz_tests =
                 (* a flipped byte ends in a typed error or a stalled
                    parse — and never yields the full clean sequence *)
                 got <> msgs || err <> None)
-          [ `Pipe; `Sock ])
+          [ `Pipe; `Sock ]);
+    prop "one chunk and byte by byte decode alike" 500 fuzz_arb (fun draw ->
+        (* the parser's buffer management (offset, lazy compaction,
+           growth) must not depend on how the bytes arrive *)
+        let _, await_hello, data = fuzz_stream draw in
+        decode_chunked ~chunk:max_int ~await_hello data
+        = decode_chunked ~chunk:1 ~await_hello data);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Socket campaigns: real [abc serve] subprocesses (this binary,
-   re-executed through Dist.Serve.maybe_run).  The contract under
-   test is the ISSUE's: byte-identical reports for any endpoint set,
-   disconnect history, and lease reassignment. *)
+   re-executed through Dist.Worker.maybe_run).  The contract under
+   test: byte-identical reports for any endpoint set, disconnect
+   history, and unit reassignment. *)
 
 let cases = 40 (* 3 units of 16: enough dispatches for the faults to land *)
 let seed = 11
@@ -447,9 +559,8 @@ let check_identical name sharded =
   if sharded <> Lazy.force serial_report then
     Alcotest.failf "%s: sharded report differs from serial:\n%s" name sharded
 
-let spawn_serve ~id ~mode ~addr ?(nemesis = Dist.Nemesis.none) ?(once = true)
-    () =
-  let binding = Dist.Serve.env_binding ~id ~mode ~addr ~nemesis ~once () in
+let spawn_serve ~id ~mode ?(nemesis = Dist.Nemesis.none) ?(once = true) () =
+  let binding = Dist.Worker.env_binding (Dist.Worker.cfg ~id ~nemesis ~once mode) in
   let env = Array.append (Unix.environment ()) [| binding |] in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
   let pid =
@@ -480,8 +591,8 @@ let with_listen_fleet ?nemesis k =
   let nemesis = Option.value nemesis ~default:Dist.Nemesis.none in
   let pids =
     [
-      spawn_serve ~id:1 ~mode:Dist.Serve.Listen ~addr:a1 ~nemesis ();
-      spawn_serve ~id:2 ~mode:Dist.Serve.Listen ~addr:a2 ~nemesis ();
+      spawn_serve ~id:1 ~mode:(Dist.Worker.Listen a1) ~nemesis ();
+      spawn_serve ~id:2 ~mode:(Dist.Worker.Listen a2) ~nemesis ();
     ]
   in
   Fun.protect
@@ -498,8 +609,8 @@ let with_connect_fleet ?nemesis k =
   let nemesis = Option.value nemesis ~default:Dist.Nemesis.none in
   let pids =
     [
-      spawn_serve ~id:1 ~mode:Dist.Serve.Connect ~addr ~nemesis ();
-      spawn_serve ~id:2 ~mode:Dist.Serve.Connect ~addr ~nemesis ();
+      spawn_serve ~id:1 ~mode:(Dist.Worker.Connect addr) ~nemesis ();
+      spawn_serve ~id:2 ~mode:(Dist.Worker.Connect addr) ~nemesis ();
     ]
   in
   Fun.protect
@@ -592,5 +703,5 @@ let campaign_tests =
   ]
 
 let suite =
-  addr_tests @ transport_tests @ registry_tests @ max_frame_tests
+  addr_tests @ transport_tests @ backoff_tests @ registry_tests @ max_frame_tests
   @ frame_fuzz_tests @ campaign_tests
