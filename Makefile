@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke bench reports coverage clean
+.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perf-smoke bench reports coverage clean
 
 # Cases for the parallel determinism check; override with
 # `make check-par CASES=1000` for the full acceptance run.
@@ -109,6 +109,15 @@ net-smoke: build
 	  echo "net-smoke: identical under $$nem"; \
 	done
 	dune exec bench/main.exe -- net --out BENCH_net.json
+
+# Benchmark smoke (~16 s): perfbench/smoke.py runs every workload of
+# BENCHMARK.json at tiny inputs in both trace modes and fails unless
+# each prints every declared metric, an altered reference counts as
+# failed operations, and a benchmark-only directory yields no result.
+# It builds perfbench/bench.exe itself (into .bench_build/), so a
+# library change that breaks the benchmark fails here.
+perf-smoke:
+	python3 perfbench/smoke.py
 
 reports: build
 	dune exec bench/main.exe -- reports

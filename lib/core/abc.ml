@@ -201,12 +201,12 @@ let max_relevant_ratio g =
     already admissible for it, otherwise a rational just above the
     exact threshold.  The fuzz oracles use this to instantiate theorem
     hypotheses ("for every Ξ the execution is admissible for…") on
-    executions produced by schedulers with no a-priori Θ bound. *)
+    executions produced by schedulers with no a-priori Θ bound.  The
+    threshold alone decides it ([g] is admissible for [fallback] iff
+    [fallback > r]), so no separate admissibility check runs. *)
 let admissible_xi g ~fallback =
   if Rat.compare fallback Rat.one <= 0 then
     invalid_arg "Abc.admissible_xi: need fallback > 1";
-  if Abc_check.is_admissible g ~xi:fallback then fallback
-  else
   match max_relevant_ratio g with
   | None -> fallback
   | Some r ->

@@ -165,41 +165,45 @@ let clocks_by_event input =
   let tbl = Sim.faithful_states input.result in
   fun id -> Option.map clock (Hashtbl.find_opt tbl id)
 
-(* Clock of process p in the frontier of cut [c]: the clock after p's
-   last processed event in the cut (0 before any event). *)
-let clock_in_cut input c p =
-  let g = input.result.Sim.graph in
-  let clocks = clocks_by_event input in
-  let frontier_seq = (Cut.frontier c).(p) in
-  List.fold_left
-    (fun acc id ->
-      let ev = Graph.event g id in
-      if ev.Event.seq <= frontier_seq then
-        match clocks id with Some k -> max acc k | None -> acc
-      else acc)
-    0
-    (Graph.events_of_proc g p)
-
 (** Maximum clock skew [|Cp(S) − Cq(S)|] between correct processes over
     all principal consistent cuts (Theorem 2's quantity; the bound is
-    [2Ξ]). *)
+    [2Ξ]).  [Cp(S)] is the clock after p's last event in the cut (0
+    before any event), read off a per-process prefix-max array indexed
+    by the frontier seq, so each cut costs O(|correct|). *)
 let max_skew_on_cuts input =
   let g = input.result.Sim.graph in
+  let states = Sim.faithful_states input.result in
+  let prefix_max p =
+    let acc = ref 0 in
+    Array.of_list
+      (List.map
+         (fun id ->
+           (match Hashtbl.find_opt states id with
+           | Some st -> acc := max !acc st.k
+           | None -> ());
+           !acc)
+         (Graph.events_of_proc g p))
+  in
+  let clocks = List.map (fun p -> (p, prefix_max p)) input.correct in
   (* Definition 5 requires every correct process to have an event in a
      consistent cut; principal cuts that miss a correct process are not
      consistent and Theorem 2 does not apply to them. *)
-  let cuts =
-    List.filter
-      (fun c -> List.for_all (fun p -> (Cut.frontier c).(p) >= 0) input.correct)
-      (Cut.principal_cuts g)
+  let skew f =
+    if clocks = [] || List.exists (fun (p, _) -> f.(p) < 0) clocks then 0
+    else
+      let hi, lo =
+        List.fold_left
+          (fun (hi, lo) (p, pm) ->
+            let k = pm.(f.(p)) in
+            (max hi k, min lo k))
+          (min_int, max_int) clocks
+      in
+      hi - lo
   in
-  List.fold_left
-    (fun acc c ->
-      let clocks = List.map (clock_in_cut input c) input.correct in
-      match (clocks, List.length clocks) with
-      | [], _ | _, 0 -> acc
-      | ks, _ -> max acc (List.fold_left max min_int ks - List.fold_left min max_int ks))
-    0 cuts
+  Array.fold_left
+    (fun acc f -> max acc (skew f))
+    (skew (Cut.frontier (Cut.full g)))
+    (Cut.principal_frontiers g)
 
 (** Maximum clock skew over real-time cuts (Theorem 3's quantity).
     Scans event times in order, maintaining each correct process's
@@ -305,6 +309,7 @@ let bounded_progress_violations input =
       (Graph.events_of_proc g p)
   in
   let dist_by_proc = List.map (fun p -> (p, dist_events_of p)) input.correct in
+  let frontiers = Cut.principal_frontiers g in
   let checked = ref 0 and violations = ref [] in
   List.iter
     (fun p ->
@@ -315,11 +320,11 @@ let bounded_progress_violations input =
       for i = 0 to nd - 1 - rho do
         let from_id = devs.(i) and to_id = devs.(i + rho) in
         incr checked;
-        let interval =
-          Cut.interval g ~from_event:(Graph.event g from_id) ~to_event:(Graph.event g to_id)
-        in
+        (* the cut interval ⟨ψ⟩ \ ⟨φ⟩: above φ's frontier, within ψ's *)
+        let lo = frontiers.(from_id) and hi = frontiers.(to_id) in
         let in_interval id =
-          List.exists (fun (e : Event.t) -> e.Event.id = id) interval
+          let ev = Graph.event g id in
+          ev.Event.seq <= hi.(ev.Event.proc) && ev.Event.seq > lo.(ev.Event.proc)
         in
         List.iter
           (fun q ->

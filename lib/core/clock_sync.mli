@@ -74,9 +74,6 @@ type analysis_input = {
 val clocks_by_event : analysis_input -> int -> int option
 (** Clock value after each faithful-graph event. *)
 
-val clock_in_cut : analysis_input -> Execgraph.Cut.t -> int -> int
-(** [Cp(S)]: the clock of process [p] in the frontier of the cut. *)
-
 val max_skew_on_cuts : analysis_input -> int
 (** Theorem 2's quantity: max [|Cp(S) − Cq(S)|] between correct
     processes over the principal consistent cuts (cuts missing a

@@ -178,73 +178,90 @@ module type WEIGHT = sig
 end
 
 module Bellman_ford (W : WEIGHT) = struct
-  (* Distances from a virtual super-source connected to every node with
-     weight zero, so negative cycles anywhere are found. *)
+  (* Queue-based label correcting; the witness and termination argument
+     is in the interface.  [parent.(v)] is the arc that last lowered
+     [v]'s label (-1 for none), [len.(v)] the arc count of the walk
+     that label is the weight of. *)
   let run g ~weight =
     let n = g.n in
+    let w = Array.init g.m (fun i -> weight g.edge_arr.(i)) in
     let dist = Array.make (max n 1) W.zero in
-    let parent = Array.make (max n 1) None in
-    let changed = ref true and rounds = ref 0 in
-    while !changed && !rounds < n do
-      changed := false;
-      incr rounds;
-      for i = 0 to g.m - 1 do
-        let e = g.edge_arr.(i) in
-        let cand = W.add dist.(e.src) (weight e) in
-        if W.compare cand dist.(e.dst) < 0 then begin
-          dist.(e.dst) <- cand;
-          parent.(e.dst) <- Some e;
-          changed := true
-        end
-      done
-    done;
-    (dist, parent, !changed && !rounds = n)
+    let len = Array.make (max n 1) 0 in
+    let parent = Array.make (max n 1) (-1) in
+    let inq = Array.make (max n 1) true in
+    (* ring buffer: a node is queued at most once at a time *)
+    let ring = Array.init (max n 1) (fun i -> n - 1 - i) in
+    let head = ref 0 and size = ref n in
+    let stamp = Array.make (max n 1) (-1) and tick = ref 0 in
+    (* A cycle of the parent graph, as arcs in traversal order. *)
+    let parent_cycle () =
+      let base = !tick in
+      let found = ref None and s = ref 0 in
+      while !found = None && !s < n do
+        if stamp.(!s) < base then begin
+          let cur = !tick in
+          incr tick;
+          let x = ref !s in
+          while !x >= 0 && stamp.(!x) < base do
+            stamp.(!x) <- cur;
+            x := if parent.(!x) < 0 then -1 else g.edge_arr.(parent.(!x)).src
+          done;
+          if !x >= 0 && stamp.(!x) = cur then begin
+            let cycle = ref [] and u = ref !x in
+            let continue = ref true in
+            while !continue do
+              let e = g.edge_arr.(parent.(!u)) in
+              cycle := e :: !cycle;
+              u := e.src;
+              continue := !u <> !x
+            done;
+            found := Some !cycle
+          end
+        end;
+        incr s
+      done;
+      !found
+    in
+    let exception Cycle of edge list in
+    let since_scan = ref 0 in
+    let rec relax du lu = function
+      | [] -> ()
+      | e :: tl ->
+          let cand = W.add du w.(e.id) in
+          let v = e.dst in
+          if W.compare cand dist.(v) < 0 then begin
+            dist.(v) <- cand;
+            parent.(v) <- e.id;
+            len.(v) <- lu + 1;
+            if not inq.(v) then begin
+              inq.(v) <- true;
+              ring.((!head + !size) mod n) <- v;
+              incr size
+            end;
+            incr since_scan;
+            if lu + 1 > n || !since_scan >= n then begin
+              since_scan := 0;
+              match parent_cycle () with Some c -> raise (Cycle c) | None -> ()
+            end
+          end;
+          relax du lu tl
+    in
+    try
+      while !size > 0 do
+        let u = ring.(!head) in
+        head := (!head + 1) mod n;
+        decr size;
+        inq.(u) <- false;
+        relax dist.(u) len.(u) g.out_adj.(u)
+      done;
+      Ok dist
+    with Cycle c -> Error c
 
   let negative_cycle g ~weight =
-    let dist, parent, unstable = run g ~weight in
-    if not unstable then None
-    else begin
-      (* One more relaxation pass locates an edge that still improves.
-         Applying that relaxation first is essential: a node relaxed in
-         round [n+1] has a predecessor chain of length > n, so walking
-         [n] parents from it is guaranteed to stay on defined parents
-         and to land inside a predecessor cycle (which is always a
-         negative cycle of the current weights). *)
-      let start = ref None in
-      for i = 0 to g.m - 1 do
-        let e = g.edge_arr.(i) in
-        if !start = None && W.compare (W.add dist.(e.src) (weight e)) dist.(e.dst) < 0
-        then begin
-          dist.(e.dst) <- W.add dist.(e.src) (weight e);
-          parent.(e.dst) <- Some e;
-          start := Some e.dst
-        end
-      done;
-      match !start with
-      | None -> None
-      | Some v0 ->
-          let v = ref v0 in
-          for _ = 1 to g.n do
-            match parent.(!v) with Some e -> v := e.src | None -> ()
-          done;
-          (* !v is on the cycle; collect parent edges until we return,
-             with a defensive bound of [n] steps. *)
-          let cycle = ref [] and u = ref !v and looping = ref true and steps = ref 0 in
-          while !looping && !steps <= g.n do
-            incr steps;
-            match parent.(!u) with
-            | Some e ->
-                cycle := e :: !cycle;
-                u := e.src;
-                if !u = !v then looping := false
-            | None -> looping := false
-          done;
-          if !looping then None (* defensive; cannot happen *) else Some !cycle
-    end
+    match run g ~weight with Ok _ -> None | Error c -> Some c
 
   let potentials g ~weight =
-    let dist, _, unstable = run g ~weight in
-    if unstable then None else Some dist
+    match run g ~weight with Ok dist -> Some dist | Error _ -> None
 end
 
 type traversal = { edge : edge; dir : int }

@@ -10,8 +10,9 @@
 
     Three algorithm families live here:
     - {!topological_sort} / {!is_dag} for causal orders,
-    - {!module:Bellman_ford}, a functor over an ordered additive monoid
-      of weights, used both for negative-/nonpositive-cycle detection
+    - {!module:Bellman_ford}, a queue-based shortest-path kernel over an
+      ordered additive monoid of weights, used both for
+      negative-/nonpositive-cycle detection
       (the polynomial ABC admissibility check) and for
       difference-constraint potentials over ε-extended rationals,
     - {!shadow_cycles}, exhaustive enumeration of the simple cycles of
@@ -78,12 +79,43 @@ module type WEIGHT = sig
   val compare : t -> t -> int
 end
 
+(** Shortest paths from a virtual super-source joined to every node by
+    a zero-weight arc, so disconnected graphs are handled and a
+    negative cycle anywhere is found.
+
+    The kernel is queue-based label correcting: every node starts
+    labelled [W.zero] and queued, in descending id order (the graphs
+    built on execution graphs number events in a topological order, so
+    their backward arcs settle in the first pass); a popped node
+    relaxes its out-arcs and queues each node whose label strictly
+    drops.  Each label records the arc that set it, forming the
+    {e parent graph}.
+
+    {b Witness.}  Labels only drop, and only strictly, so every cycle
+    of the parent graph has negative weight: around it each node's
+    label is at least its parent's plus the arc weight; the relaxation
+    that closed the cycle lowered a label, which makes the inequality
+    at that node's child on the cycle strict; and the labels cancel in
+    the sum.  The parent graph is scanned for a cycle every [n]
+    relaxations, and that cycle is the returned witness.
+
+    {b Termination.}  Without a negative cycle the queue drains after
+    O(n·m) relaxations and the labels are the shortest-path distances
+    from the super-source (the largest solution of the constraints
+    with every value [<= W.zero]), the same values a round-robin
+    Bellman–Ford reaches.  With one, the
+    labels drop without bound and the parent graph becomes cyclic for
+    good, so a scan finds it.  As a backstop every label also records
+    the arc count of its walk; a walk longer than [n] arcs repeats a
+    node, which proves a negative cycle and triggers a scan at once.
+
+    Weights must add exactly ([int], [Bigint.t], {!Rat.Eps}). *)
 module Bellman_ford (W : WEIGHT) : sig
   val negative_cycle : t -> weight:(edge -> W.t) -> edge list option
   (** [negative_cycle g ~weight] is [Some cycle] (a directed cycle whose
       total weight is strictly negative, as an edge list in traversal
-      order) if one exists, and [None] otherwise.  Runs Bellman–Ford
-      from a virtual super-source, so disconnected graphs are handled. *)
+      order) if one exists, and [None] otherwise.  [weight] is called
+      once per edge. *)
 
   val potentials : t -> weight:(edge -> W.t) -> W.t array option
   (** [potentials g ~weight] is [Some pi] with

@@ -104,16 +104,41 @@ let at_time g t =
   done;
   { frontier = f }
 
+(** The frontier of ⟨φ⟩ for every event φ, indexed by event id, in one
+    vector-clock pass: in a topological order, an event's frontier is
+    the componentwise maximum of its predecessors' frontiers (its local
+    predecessor and the senders of the messages it receives), with its
+    own process's entry set to its own seq.  O(E·n) for E events and n
+    processes, against one BFS per event for {!closure_of_event}. *)
+let principal_frontiers g =
+  let n = Graph.nprocs g in
+  let dg = Graph.digraph g in
+  let fr = Array.make (Graph.event_count g) [||] in
+  List.iter
+    (fun id ->
+      let f = Array.make n (-1) in
+      List.iter
+        (fun (e : Digraph.edge) ->
+          let fs = fr.(e.src) in
+          for p = 0 to n - 1 do
+            if fs.(p) > f.(p) then f.(p) <- fs.(p)
+          done)
+        (Digraph.in_edges dg id);
+      let ev = Graph.event g id in
+      f.(ev.proc) <- ev.seq;
+      fr.(id) <- f)
+    (Graph.topological_order g);
+  fr
+
 (** Enumerate the "principal" consistent cuts of a graph: the left
     closures of each single event plus the full cut.  This family
     suffices for checking the frontier-based synchrony bound of
     Theorem 2, since every consistent cut's frontier clock values are
     dominated by principal ones (used by tests and benches). *)
 let principal_cuts g =
+  let fr = principal_frontiers g in
   let cuts = ref [ full g ] in
-  for id = 0 to Graph.event_count g - 1 do
-    cuts := closure_of_event g (Graph.event g id) :: !cuts
-  done;
+  Array.iter (fun f -> cuts := { frontier = f } :: !cuts) fr;
   !cuts
 
 let pp fmt c =

@@ -36,6 +36,12 @@ val at_time : Graph.t -> Rat.t -> t
 (** Real-time cut (Mattern): all events with timestamp ≤ t; left-closed
     whenever message delays are non-negative. *)
 
+val principal_frontiers : Graph.t -> int array array
+(** [(principal_frontiers g).(id)] is the frontier of ⟨φ⟩ for the event
+    with id [id], as {!closure_of_event} would give it, for every event
+    at once (one vector-clock pass in topological order, O(E·n)).
+    @raise Invalid_argument if the graph is not a DAG. *)
+
 val principal_cuts : Graph.t -> t list
 (** The left closures of each single event plus the full cut — the
     family over which the Theorem 2 skew bound is checked. *)
