@@ -1242,16 +1242,22 @@ let run_mc_bench ~nprocs ~budget ~budget2 ~out =
   let (inc1, _speed1), pts1 = check_budget ~budget ~exhaustive:true in
   let (_inc2, _speed2), pts2 = check_budget ~budget:budget2 ~exhaustive:false in
   let points = pts1 @ pts2 in
-  (* Search-only walls (oracle battery off), min of five: the engine
+  (* Search-only walls (oracle battery off), min of five warm runs: the engine
      comparison and the pinned-baseline reduction are measured on the
      search itself — the thing the engine rewrite changes — with the
      oracle battery's per-class cost out of the frame. *)
   let search_wall ~budget ~engine =
     let case = mc_bench_box ~nprocs ~budget in
+    let search () = ignore (Mc.Driver.run ~oracles:[] ~dpor:true ~engine ~jobs:1 case) in
+    (* one untimed warm-up, then each timed run from a compacted heap,
+       so no timed run pays for first-touch heap growth or for the
+       previous run's garbage *)
+    search ();
     let best = ref infinity in
     for _ = 1 to 5 do
+      Gc.compact ();
       let t0 = Pool.now () in
-      ignore (Mc.Driver.run ~oracles:[] ~dpor:true ~engine ~jobs:1 case);
+      search ();
       best := min !best (Pool.now () -. t0)
     done;
     !best

@@ -109,7 +109,9 @@ type fuzz_payload = {
 }
 
 type mc_payload = { mp_subtrees : Mc.Explore.subtree array }
-(** frontier tasks [lo..hi), in order *)
+(** frontier tasks [lo..hi), in order: counters, class keys and
+    representative schedules — no verdicts, which the supervisor's
+    {!merge_mc} computes once per merged class *)
 
 type blob = {
   b_unit : int;
@@ -164,10 +166,11 @@ let exec_payload (s : spec) ~lo ~hi : string =
       in
       Marshal.to_string { mp_subtrees = subtrees } []
 
-(** Recompute the oracle-verdict checksum from a deserialized payload:
-    an MD5 over every deterministic fact the merge will consume —
-    cases, verdicts, failure details, shrunk lines for fuzz; class
-    keys, schedules, verdicts and subtree counters for mc.  Two
+(** Recompute the result checksum from a deserialized payload: an
+    MD5 over every deterministic fact the merge will consume — cases,
+    verdicts, failure details, shrunk lines for fuzz; class keys,
+    representative schedules and subtree counters for mc (an mc unit
+    carries no verdicts: the merge judges each class itself).  Two
     correct executions of a unit agree on it by campaign determinism;
     a divergent or damaged payload does not.  [Error] when the payload
     does not even deserialize. *)
@@ -232,8 +235,7 @@ let payload_checksum (s : spec) (payload : string) : (string, string) result =
                   Buffer.add_char buf '|';
                   Buffer.add_string buf
                     (String.concat "." (List.map string_of_int cl.Mc.Explore.cl_choices));
-                  Buffer.add_char buf '\n';
-                  List.iter (fun (n, o) -> outcome_line n o) cl.Mc.Explore.cl_results)
+                  Buffer.add_char buf '\n')
                 sb.Mc.Explore.sb_classes)
             mp_subtrees;
           Ok (Digest.to_hex (Digest.string (Buffer.contents buf))))

@@ -70,7 +70,9 @@ let compatible (t : t) (c : Gen.case) =
 let clamp c m = if c < 0 then 0 else if c >= m then m - 1 else c
 
 (* Position the session on [cand]'s execution: undo to the divergence
-   point, deliver the rest, return the terminal run. *)
+   point, deliver the rest, return the terminal run.  Also the model
+   checker's class evaluator, whose candidates are first-seen
+   representatives in search order rather than shrink moves. *)
 let walk (t : t) (cand : Gen.case) : Gen.run =
   Obs.muted @@ fun () ->
   let budget = cand.Gen.c_max_events in

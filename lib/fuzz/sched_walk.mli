@@ -21,6 +21,17 @@ val compatible : t -> Gen.case -> bool
     healthy and the candidate differs from the walker's case only in
     [c_schedule] (non-empty) and an equal-or-smaller [c_max_events]. *)
 
+val walk : t -> Gen.case -> Gen.run
+(** [walk t cand] positions the session on [cand]'s execution — undo
+    to the longest prefix the candidate shares with the previous walk,
+    deliver the rest with {!Sim.run_scheduled}'s clamping and FIFO-0
+    continuation — and returns the terminal run.  Muted.  Unlike
+    {!evaluate} it neither checks {!compatible} (the caller vouches
+    that [cand] differs from the walker's box at most in [c_schedule],
+    which may be empty, and a no-larger [c_max_events]) nor catches: an
+    exception from the simulator escapes, and the walker must not be
+    used again. *)
+
 val evaluate : t -> oracles:Oracle.t list -> Gen.case -> (string * Oracle.outcome) list
 (** Evaluate the candidate, through the session when {!compatible}
     (muted — walk deliveries are an engine artifact) and through

@@ -142,6 +142,10 @@ let shrink ?(max_evals = 80) ?(session_reuse = true) ~oracles ~oracle
     if session_reuse && c0.Gen.c_schedule <> [] then Some (Sched_walk.create c0)
     else None
   in
+  (* only the target oracle runs: each oracle's verdict is independent
+     of the others (exceptions are caught per oracle, the context's
+     lazies are pure), and "no-crash" needs none of them *)
+  let oracles = List.filter (fun (o : Oracle.t) -> o.Oracle.name = oracle) oracles in
   let evals = ref 0 in
   let still_fails c =
     incr evals;

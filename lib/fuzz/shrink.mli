@@ -21,7 +21,9 @@ val shrink :
   result
 (** Greedy descent: keep the first candidate on which oracle [oracle]
     still fails; stop at a local minimum or after [max_evals]
-    (default 80) candidate runs.  On a schedule-bearing case the
+    (default 80) candidate runs.  Each candidate runs [oracle] alone
+    (none for ["no-crash"]): verdicts do not depend on which other
+    oracles share the run.  On a schedule-bearing case the
     prefix-preserving candidates replay through one recording session
     ({!Sched_walk}) instead of from scratch; [session_reuse:false]
     (default [true]) forces the stateless path.  The shrunk result is

@@ -20,9 +20,11 @@
     task range, and ships the subtrees back for an in-order merge that
     is byte-identical to {!run}.
 
-    The price is duplicated work proportional to the naive blow-up of
+    The price is duplicated search proportional to the naive blow-up of
     the frontier layer; depth 2 is the default and plenty for the tree
-    widths this model produces. *)
+    widths this model produces.  The same class is typically {e found}
+    by several tasks, so the oracle battery is kept out of the search:
+    the merge judges each distinct class once ({!merge_tasks}). *)
 
 type violation = {
   vi_class : string;  (** canonical key of the violating class *)
@@ -102,12 +104,17 @@ let frontier_tasks ~frontier (case : Fuzz.Gen.case) : int list array =
       [ ("tasks", Obs.I (Array.length tasks)); ("depth", Obs.I frontier) ];
   tasks
 
-let explore_task ~oracles ~dpor ~engine ~tt ~(case : Fuzz.Gen.case)
+(** Explore frontier task [i] under DPOR (or naively).  The subtree's
+    classes carry keys and representative schedules only
+    ([cl_results = []]); [~oracles] is unused and kept for callers
+    written against the explore-time battery — the verdicts come from
+    {!merge_tasks}. *)
+let explore_task ~oracles:_ ~dpor ~engine ~tt ~(case : Fuzz.Gen.case)
     ~(tasks : int list array) i : Explore.subtree =
   let sb =
     Obs.with_scope (1 + i) @@ fun () ->
     if Obs.on () then Obs.span_begin "mc" "task" [ ("i", Obs.I i) ];
-    let sb = Explore.explore ~engine ~tt ~oracles ~dpor ~case ~prefix:tasks.(i) in
+    let sb = Explore.explore ~engine ~tt ~dpor ~case ~prefix:tasks.(i) in
     if Obs.on () then
       Obs.span_end "mc" "task"
         [ ("i", Obs.I i); ("execs", Obs.I sb.Explore.sb_execs) ];
@@ -124,11 +131,44 @@ let explore_task ~oracles ~dpor ~engine ~tt ~(case : Fuzz.Gen.case)
   end;
   sb
 
+(* The battery on each representative, in order, through one session
+   walker: neighbouring first-seen representatives share their DFS
+   prefix, so each walk undoes to the shared prefix and re-delivers
+   only the suffix.  A representative's choice indices were valid
+   where the explorer took them, so the walk ends on the very terminal
+   state the explorer recorded, and the battery sees the schedule-free
+   box just as it would have there. *)
+let judge ~oracles (case : Fuzz.Gen.case) (reps : int list array) =
+  let w = Fuzz.Sched_walk.create case in
+  Array.map
+    (fun choices ->
+      Fuzz.Oracle.evaluate_run oracles case
+        (Fuzz.Sched_walk.walk w { case with Fuzz.Gen.c_schedule = choices }))
+    reps
+
+(* [judge] over contiguous chunks on the pool, a few chunks per worker
+   so stealing can even out their cost; results concatenate in order,
+   so the verdicts do not depend on [jobs]. *)
+let judge_all ~jobs ~oracles case reps =
+  let n = Array.length reps in
+  if oracles = [] then Array.make n []
+  else if jobs <= 1 || n < 2 then judge ~oracles case reps
+  else
+    let chunks = min n (4 * jobs) in
+    let bound k = k * n / chunks in
+    Pool.map ~jobs ~chunk:1 chunks (fun k ->
+        judge ~oracles case (Array.sub reps (bound k) (bound (k + 1) - bound k)))
+    |> Array.to_list |> Array.concat
+
 (* Merge in task order (lexicographic prefixes) with first-seen class
-   dedup, then sort classes by key: both steps are independent of the
-   worker count — and of which process explored which subtree. *)
-let merge_tasks ~oracles ~dpor ~engine ~frontier ~(case : Fuzz.Gen.case)
-    (subtrees : Explore.subtree array) : outcome =
+   dedup, judge every kept class once (on [jobs] workers), then sort
+   classes by key: each step is independent of the worker count — and
+   of which process explored which subtree.  Verdicts are a function
+   of (box, representative) and the battery emits no Obs events, so
+   where it runs shows in neither the report nor the trace digest.
+   Any [cl_results] the subtrees carry are ignored. *)
+let merge_tasks ?(jobs = 1) ~oracles ~dpor ~engine ~frontier
+    ~(case : Fuzz.Gen.case) (subtrees : Explore.subtree array) : outcome =
   let execs = ref 0 in
   let sleep_blocked = ref 0 in
   let deliveries = ref 0 in
@@ -151,11 +191,18 @@ let merge_tasks ~oracles ~dpor ~engine ~frontier ~(case : Fuzz.Gen.case)
           end)
         sb.Explore.sb_classes)
     subtrees;
+  let kept = Array.of_list (List.rev !classes) in
+  let results =
+    judge_all ~jobs ~oracles case
+      (Array.map (fun (cl : Explore.class_rec) -> cl.Explore.cl_choices) kept)
+  in
   let classes =
-    List.sort
-      (fun (a : Explore.class_rec) b ->
-        compare a.Explore.cl_key b.Explore.cl_key)
-      !classes
+    Array.to_list
+      (Array.map2
+         (fun (cl : Explore.class_rec) r -> { cl with Explore.cl_results = r })
+         kept results)
+    |> List.sort (fun (a : Explore.class_rec) b ->
+           compare a.Explore.cl_key b.Explore.cl_key)
   in
   let violations =
     List.concat_map
@@ -198,11 +245,11 @@ let merge_tasks ~oracles ~dpor ~engine ~frontier ~(case : Fuzz.Gen.case)
 let run ?(oracles = Fuzz.Oracle.registry) ?(dpor = true)
     ?(engine = Explore.Incremental) ?(tt = true) ?(frontier = 2) ?jobs
     (case : Fuzz.Gen.case) : outcome =
+  let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
   let tasks = frontier_tasks ~frontier case in
   let explore i = explore_task ~oracles ~dpor ~engine ~tt ~case ~tasks i in
   let subtrees =
-    match jobs with
-    | Some j when j <= 1 -> Array.init (Array.length tasks) explore
-    | _ -> Pool.map ?jobs ~chunk:1 (Array.length tasks) explore
+    if jobs <= 1 then Array.init (Array.length tasks) explore
+    else Pool.map ~jobs ~chunk:1 (Array.length tasks) explore
   in
-  merge_tasks ~oracles ~dpor ~engine ~frontier ~case subtrees
+  merge_tasks ~jobs ~oracles ~dpor ~engine ~frontier ~case subtrees

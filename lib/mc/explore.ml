@@ -48,7 +48,13 @@
     the classes reachable by first taking a delivery independent of
     [e] and later [e] itself are already covered, so such siblings are
     put to sleep.  A node whose every enabled choice sleeps is counted
-    and abandoned without touching the oracle battery.
+    and abandoned.
+
+    The explorer only {e finds} classes: each first-seen terminal
+    records its canonical key and the schedule that reached it.  The
+    oracle battery runs later, once per class of the merged search
+    ({!Driver.merge_tasks}) — a class reached from several frontier
+    tasks is found by each of them but judged once.
 
     {2 Transposition table}
 
@@ -81,7 +87,8 @@ type class_rec = {
   cl_choices : int list;
       (** schedule of the first-explored representative *)
   cl_results : (string * Fuzz.Oracle.outcome) list;
-      (** oracle battery on that representative *)
+      (** oracle battery on that representative; [[]] as explored —
+          {!Driver.merge_tasks} fills it in once per merged class *)
 }
 
 (** Result of exploring one subtree (all statistics are sums over the
@@ -115,7 +122,7 @@ type node = {
 }
 
 (* The engine interface.  Positional contract: [op_len],
-   [op_iter_ready], [op_run], [op_fp] and [op_key] describe the current
+   [op_iter_ready], [op_fp] and [op_key] describe the current
    position and are called only right after positioning (visit entry /
    terminal); [op_wake ~len] is read only while positioned at depth
    [len]; [op_step j] and [op_masks ~len] are valid for indices below
@@ -124,7 +131,6 @@ type node = {
 type ops = {
   op_finished : unit -> bool;
   op_iter_ready : (env:int -> dst:int -> posted_at:int -> unit) -> unit;
-  op_run : unit -> Fuzz.Gen.run;
   op_len : unit -> int;
   op_step : int -> Schedule.step;
   op_masks : len:int -> int array;
@@ -167,7 +173,6 @@ let replay_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
   {
     op_finished = (fun () -> (sess ()).Fuzz.Gen.ms_finished ());
     op_iter_ready = (fun f -> (sess ()).Fuzz.Gen.ms_iter_ready f);
-    op_run = (fun () -> (sess ()).Fuzz.Gen.ms_run ());
     op_len = (fun () -> Array.length (steps ()));
     op_step = (fun j -> (steps ()).(j));
     op_masks = (fun ~len -> Schedule.hb_masks ~nprocs (Array.sub (steps ()) 0 len));
@@ -241,7 +246,6 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
   {
     op_finished = s.Fuzz.Gen.ms_finished;
     op_iter_ready = s.Fuzz.Gen.ms_iter_ready;
-    op_run = s.Fuzz.Gen.ms_run;
     op_len = (fun () -> !len);
     op_step = (fun j -> steps.(j));
     op_masks = (fun ~len:_ -> masks);
@@ -264,7 +268,7 @@ let incremental_ops (case : Fuzz.Gen.case) (prefix : int list) : ops =
     op_undos = (fun () -> !undos);
   }
 
-let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
+let explore ~engine ~tt ~dpor ~(case : Fuzz.Gen.case)
     ~(prefix : int list) : subtree =
   let budget = case.Fuzz.Gen.c_max_events in
   if budget > Schedule.max_budget then
@@ -287,7 +291,6 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
   let sleep_blocked = ref 0 in
   let tt_hits = ref 0 in
   let classes = ref [] in
-  let base_case = { case with Fuzz.Gen.c_schedule = [] } in
   let ops =
     match engine with
     | Replay -> replay_ops case prefix
@@ -406,19 +409,10 @@ let explore ~engine ~tt ~oracles ~dpor ~(case : Fuzz.Gen.case)
          key is built only for first-seen classes (equal keys have equal
          fingerprints, and a pair collision — odds ~2^-126 per pair —
          would merge the same two classes under either engine) *)
-      if not (fp_seen seen (ops.op_fp ())) then begin
-        let results =
-          if oracles = [] then []
-          else Fuzz.Oracle.evaluate_run oracles base_case (ops.op_run ())
-        in
+      if not (fp_seen seen (ops.op_fp ())) then
         classes :=
-          {
-            cl_key = ops.op_key ();
-            cl_choices = choices_list depth;
-            cl_results = results;
-          }
+          { cl_key = ops.op_key (); cl_choices = choices_list depth; cl_results = [] }
           :: !classes
-      end
     end
     else begin
       let node = nodes.(depth) in

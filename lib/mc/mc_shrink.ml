@@ -18,7 +18,11 @@ let remove i l = List.filteri (fun j _ -> j <> i) l
 
 let set i v l = List.mapi (fun j x -> if j = i then v else x) l
 
+(* Only the target oracle runs: each oracle's verdict is independent of
+   the others (exceptions are caught per oracle, the context's lazies
+   are pure), and "no-crash" needs none of them. *)
 let still_fails ?walker ~oracles ~oracle case =
+  let oracles = List.filter (fun (o : Fuzz.Oracle.t) -> o.Fuzz.Oracle.name = oracle) oracles in
   let results =
     match walker with
     | Some w when Fuzz.Sched_walk.compatible w case ->

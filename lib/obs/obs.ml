@@ -196,31 +196,47 @@ let drain () =
   in
   registry := [];
   Mutex.unlock registry_lock;
-  let dropped = ref 0 in
-  let all = ref [] in
+  (* the kept events of each buffer, oldest first, in registration
+     order: one sweep counts, a second fills both arrays *)
+  let sweep f =
+    List.iter
+      (fun b ->
+        for i = b.bf_next - min b.bf_next b.bf_cap to b.bf_next - 1 do
+          f b.bf_evs.(i mod b.bf_cap)
+        done)
+      bufs
+  in
+  let nscoped = ref 0 and nambient = ref 0 in
+  sweep (fun e -> if e.ev_scope >= 0 then incr nscoped else incr nambient);
+  let scoped = Array.make !nscoped dummy_event in
+  let ambient = Array.make !nambient dummy_event in
+  let si = ref 0 and ai = ref 0 in
+  sweep (fun e ->
+      if e.ev_scope >= 0 then begin
+        scoped.(!si) <- e;
+        incr si
+      end
+      else begin
+        ambient.(!ai) <- e;
+        incr ai
+      end);
+  let dropped =
+    List.fold_left (fun d b -> d + b.bf_next - min b.bf_next b.bf_cap) 0 bufs
+  in
   List.iter
     (fun b ->
-      let kept = min b.bf_next b.bf_cap in
-      dropped := !dropped + (b.bf_next - kept);
-      let first = b.bf_next - kept in
-      for i = first to b.bf_next - 1 do
-        all := b.bf_evs.(i mod b.bf_cap) :: !all
-      done;
       b.bf_next <- 0;
       b.bf_gen <- -1)
     bufs;
-  let evs = List.rev !all in
   (* canonical order: scoped by (scope, seq); ambient events follow in
-     (registration order, emission order), which the per-buffer sweep
-     already produced *)
-  let scoped = Array.of_list (List.filter (fun e -> e.ev_scope >= 0) evs) in
-  let ambient = List.filter (fun e -> e.ev_scope < 0) evs in
+     (registration order, emission order), which the sweep already
+     produced *)
   Array.sort
     (fun a b ->
-      let c = compare a.ev_scope b.ev_scope in
-      if c <> 0 then c else compare a.ev_seq b.ev_seq)
+      let c = Int.compare a.ev_scope b.ev_scope in
+      if c <> 0 then c else Int.compare a.ev_seq b.ev_seq)
     scoped;
-  { t_events = Array.append scoped (Array.of_list ambient); t_dropped = !dropped }
+  { t_events = Array.append scoped ambient; t_dropped = dropped }
 
 let capture ?capacity f =
   start ?capacity ();
@@ -240,19 +256,32 @@ let filter ~cats t =
     t_events = Array.of_list (List.filter (fun e -> List.mem e.ev_cat cats) (Array.to_list t.t_events));
   }
 
+let needs_escape s =
+  let rec go i =
+    i < String.length s
+    && (match s.[i] with '"' | '\\' -> true | c -> Char.code c < 32 || go (i + 1))
+  in
+  go 0
+
+(* Names and most string args need no escaping: hand those back as
+   they are instead of copying them through a buffer. *)
 let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 32 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let ph_of = function
   | K_span_begin -> "B"
@@ -283,10 +312,20 @@ let add_args buf ev =
     args;
   Buffer.add_char buf '}'
 
+(* The digest preimage line; built with plain appends, since the
+   digest of a large capture formats millions of these. *)
 let add_canonical buf ev =
-  Printf.bprintf buf "{\"cat\":\"%s\",\"name\":\"%s\",\"ph\":\"%s\",\"scope\":%d,\"seq\":%d,\"args\":"
-    (json_escape ev.ev_cat) (json_escape ev.ev_name) (ph_of ev.ev_kind)
-    ev.ev_scope ev.ev_seq;
+  Buffer.add_string buf "{\"cat\":\"";
+  Buffer.add_string buf (json_escape ev.ev_cat);
+  Buffer.add_string buf "\",\"name\":\"";
+  Buffer.add_string buf (json_escape ev.ev_name);
+  Buffer.add_string buf "\",\"ph\":\"";
+  Buffer.add_string buf (ph_of ev.ev_kind);
+  Buffer.add_string buf "\",\"scope\":";
+  Buffer.add_string buf (string_of_int ev.ev_scope);
+  Buffer.add_string buf ",\"seq\":";
+  Buffer.add_string buf (string_of_int ev.ev_seq);
+  Buffer.add_string buf ",\"args\":";
   add_args buf ev;
   Buffer.add_char buf '}'
 

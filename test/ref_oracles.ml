@@ -3,7 +3,11 @@
    replaced, and the per-cut closure rebuilds that Clock_sync's
    Theorem 2 and Theorem 4 checks replaced with one vector-clock pass.
    Each is the obviously-correct slow version; the differential
-   properties in test_oracle_kernels.ml pin the fast code to it. *)
+   properties in test_oracle_kernels.ml pin the fast code to it.
+
+   Also the twins of the evaluation paths that judge once per merged
+   class and shrink with the target oracle alone: a stateless per-class
+   battery and the full-battery shrinker (test_mc_battery.ml). *)
 
 open Execgraph
 
@@ -144,3 +148,36 @@ let bounded_progress_violations (input : Core.Clock_sync.analysis_input) =
       done)
     input.correct;
   (!checked, !violations)
+
+(* The mc verdicts of one class, recomputed from scratch: the whole
+   battery on a fresh run of the box under the class's representative
+   schedule. *)
+let class_verdicts ~oracles (box : Fuzz.Gen.case) (cl : Mc.Explore.class_rec) =
+  Fuzz.Oracle.evaluate oracles { box with Fuzz.Gen.c_schedule = cl.Mc.Explore.cl_choices }
+
+(* Does [oracle] still fail?  Read off the whole battery, stateless. *)
+let still_fails ~oracles ~oracle case =
+  match Fuzz.Oracle.evaluate oracles case with
+  | results ->
+      List.exists
+        (fun (name, o) ->
+          name = oracle && match o with Fuzz.Oracle.Fail _ -> true | _ -> false)
+        results
+  | exception _ -> false
+
+(* Fuzz.Shrink.shrink's greedy descent with every candidate judged by
+   the full-battery [still_fails] above. *)
+let shrink ?(max_evals = 80) ~oracles ~oracle (c0 : Fuzz.Gen.case) =
+  let evals = ref 0 in
+  let ok c =
+    incr evals;
+    still_fails ~oracles ~oracle c
+  in
+  let rec go c steps =
+    if !evals >= max_evals then { Fuzz.Shrink.shrunk = c; steps; evaluations = !evals }
+    else
+      match List.find_opt (fun c' -> !evals < max_evals && ok c') (Fuzz.Shrink.candidates c) with
+      | Some c' -> go c' (steps + 1)
+      | None -> { Fuzz.Shrink.shrunk = c; steps; evaluations = !evals }
+  in
+  go c0 0
