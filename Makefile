@@ -1,4 +1,4 @@
-.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perf-smoke bench reports coverage clean
+.PHONY: all build test fuzz boundary check check-par mc-smoke dist-smoke net-smoke perf-smoke reports coverage clean
 
 # Cases for the parallel determinism check; override with
 # `make check-par CASES=1000` for the full acceptance run.
@@ -27,11 +27,11 @@ boundary: build
 check: build test fuzz boundary
 
 # Parallel-campaign determinism: run the same campaign serially and on
-# a worker pool and require byte-identical reports (the bench harness
-# exits non-zero on divergence and writes BENCH_pool.json), then the
-# pool unit suite.
+# a worker pool and require byte-identical reports (the pool gate exits
+# non-zero on divergence, on any number of cores), then the pool unit
+# suite.
 check-par: build
-	dune exec bench/main.exe -- pool --cases $(CASES) --jobs 4 --seed 1 --out BENCH_pool.json
+	dune exec bench/main.exe -- pool --cases $(CASES) --jobs 4
 	dune exec test/test_main.exe -- test pool -q
 
 # Model-checker smoke (< 60 s): exhaustively explore a small box with
@@ -39,23 +39,23 @@ check-par: build
 # agree with the default incremental DPOR run on every class and
 # verdict), the same cross-check at a budget the exhaustive naive
 # search could not finish (engine + table-pruned naive), and the mc
-# bench — which exits non-zero if the engines' class sets differ, if
-# deliveries_per_exec regresses above 1.5x the schedule depth, if the
-# transposition table loses classes, or if the search reduction vs
-# the pinned stateless-checker baseline falls under its floor.
+# gate — which exits non-zero if the engines' class sets differ, if
+# DPOR and naive verdicts differ or DPOR fails to reduce, if the
+# transposition table loses classes, or if the incremental engine's
+# delivery counts show it replaying prefixes (more than 2 deliveries
+# per execution, or under 4x fewer deliveries than the replay engine).
 mc-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 6 --cross-check --jobs 1
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 8 --cross-check --jobs 1
-	dune exec bench/main.exe -- mc --out BENCH_mc.json
+	dune exec bench/main.exe -- mc
 
 # Distributed-campaign smoke: the sharded subprocess runner must be
 # byte-identical to the serial report even under a kill+stall nemesis
 # and under the network faults a pipe worker can suffer (ndrop: half a
 # reply, then exit; npartial: a dribbled reply); a supervisor-killed
 # checkpointed run must exit 3 and then --resume to exactly the
-# uninterrupted report; the sharded model checker must
-# match its serial run; and the dist bench must agree (it exits
-# non-zero on any divergence and writes BENCH_dist.json).
+# uninterrupted report; and the sharded model checker must match its
+# serial run.
 dist-smoke: build
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 > _build/dist_serial.txt
 	dune exec bin/abc_cli.exe -- fuzz --cases 200 --seed 1 --shards 4 \
@@ -75,17 +75,15 @@ dist-smoke: build
 	dune exec bin/abc_cli.exe -- mc --procs 3 --budget 5 --faults C,C,Beq \
 	  --boundary --shards 2 > _build/dist_mc_sharded.txt
 	cmp _build/dist_mc_serial.txt _build/dist_mc_sharded.txt
-	dune exec bench/main.exe -- dist --out BENCH_dist.json
 
 # Network smoke: campaigns over real localhost sockets must be
 # byte-identical to the serial report — for a dialed unix-socket
 # worker fleet, and for self-registering TCP workers (abc serve
 # --connect) under every network fault the harness injects, including
 # a stall that forces a heartbeat kill and a unit re-lease onto the
-# surviving endpoint; the net bench must agree (it exits non-zero on
-# any divergence and writes BENCH_net.json).  Workers run from the
-# built binary directly so they can sit in the background without
-# fighting dune's build lock.
+# surviving endpoint.  (test_net covers a dialed TCP fleet.)  Workers
+# run from the built binary directly so they can sit in the background
+# without fighting dune's build lock.
 NET_PORT ?= 17873
 ABC = _build/default/bin/abc_cli.exe
 net-smoke: build
@@ -108,17 +106,21 @@ net-smoke: build
 	  cmp _build/net_serial.txt _build/net_fault.txt || exit 1; \
 	  echo "net-smoke: identical under $$nem"; \
 	done
-	dune exec bench/main.exe -- net --out BENCH_net.json
 
 # Benchmark smoke (~16 s): perfbench/smoke.py runs every workload of
 # BENCHMARK.json at tiny inputs in both trace modes and fails unless
 # each prints every declared metric, an altered reference counts as
 # failed operations, and a benchmark-only directory yields no result.
 # It builds perfbench/bench.exe itself (into .bench_build/), so a
-# library change that breaks the benchmark fails here.
+# library change that breaks the benchmark fails here.  Then the obs
+# gate: disabled tracing must cost under 3% of a 100-case campaign,
+# estimated in one process as the disabled per-site cost times the
+# sites an enabled run fires, over the disabled wall.
 perf-smoke:
 	python3 perfbench/smoke.py
+	dune exec bench/main.exe -- obs
 
+# Every figure and theorem report of the paper.
 reports: build
 	dune exec bench/main.exe -- reports
 
@@ -142,9 +144,6 @@ coverage:
 	        else printf "coverage: lib/obs/obs.ml at %.2f%% (>= 80%%)\n", pct } \
 	      END { if (!found) { print "coverage: lib/obs/obs.ml missing from report"; exit 1 } }'; \
 	fi
-
-bench: build
-	dune exec bench/main.exe
 
 clean:
 	dune clean

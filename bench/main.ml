@@ -1,18 +1,21 @@
-(* Benchmark & experiment harness.
+(* Experiment harness: the paper's figure reports, plus the gates that
+   the smoke targets call.
 
-   Regenerates every figure and theorem-bound of the paper (there are
-   no measurement tables; the evaluation artifacts are the ten figures
-   and the quantitative bounds of Theorems 1-7).  For each experiment
-   id of DESIGN.md the harness prints the measured rows/series next to
-   the paper's claim, then runs one Bechamel timing benchmark per
-   experiment on its core computational kernel.
+   [reports] regenerates every figure and theorem bound of the paper
+   (there are no measurement tables; the evaluation artifacts are the
+   ten figures and the quantitative bounds of Theorems 1-7): for each
+   experiment id of DESIGN.md it prints the measured rows/series next
+   to the paper's claim.  The other subcommands are pass/fail gates
+   that compare two runs made in this process or check a deterministic
+   count; none reads a wall measured elsewhere.  Timing series belong
+   to perfbench/.
 
-   Run with: dune exec bench/main.exe               (reports + timings)
-             dune exec bench/main.exe -- reports    (reports only)
+   Run with: dune exec bench/main.exe                  (every report)
              dune exec bench/main.exe -- reports F1 F6 -j 4
                                         (selected sections, 4 workers)
-             dune exec bench/main.exe -- pool --cases 1000 --jobs 4
-                                        (campaign scaling series -> BENCH_pool.json)
+             dune exec bench/main.exe -- pool --cases 200 --jobs 4
+             dune exec bench/main.exe -- mc
+             dune exec bench/main.exe -- obs
 
    Report sections print through a domain-local formatter: each
    section renders into its own buffer, so sections can run on pool
@@ -699,419 +702,45 @@ let run_reports ?(jobs = 1) ?(only = []) () =
   Format.print_flush ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benchmarks: one per experiment kernel *)
+(* Gates.  A failed check prints "error: ..." and makes the gate exit
+   1 once every check has run. *)
 
-let bench_tests () =
-  let open Bechamel in
-  let fig1 = fig1_graph () in
-  let fig3 = fig34_graph ~late:true in
-  let mk_sim_graph events =
-    let rng = Random.State.make [| 1 |] in
-    Generate.random_execution rng ~nprocs:4 ~max_events:events ~max_delay:3 ~fanout:2
+let failures = ref 0
+
+let require cond fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not cond then begin
+        Format.eprintf "error: %s@." msg;
+        incr failures
+      end)
+    fmt
+
+(* pool: the same fuzz campaign serially and on [jobs] workers must
+   render byte-identical reports.  Determinism needs no second core,
+   so the comparison runs on any host. *)
+let run_pool_gate ~cases ~jobs =
+  Format.printf "pool gate: seed=1 cases=%d, jobs=1 vs jobs=%d@." cases jobs;
+  let report jobs =
+    Fuzz.Report.render (Fuzz.Campaign.run ~shrink:false ~cases ~seed:1 ~jobs ())
   in
-  let g200 = mk_sim_graph 200 in
-  let g20 = mk_sim_graph 20 in
-  let faults4 = Array.make 4 Sim.Correct in
-  [
-    Test.make ~name:"F1_fig1_poly_check"
-      (Staged.stage (fun () -> Abc_check.is_admissible fig1 ~xi:(q 2 1)));
-    Test.make ~name:"F1_fig1_enum_check"
-      (Staged.stage (fun () ->
-           match Abc_check.check_enumerate fig1 ~xi:(q 2 1) with
-           | Abc_check.Admissible -> true
-           | _ -> false));
-    Test.make ~name:"F2_cycle_decompose_20ev"
-      (Staged.stage (fun () ->
-           let relevant = List.filter (fun c -> c.Cycle.relevant) (Cycle.enumerate g20) in
-           match relevant with
-           | [] -> 0
-           | l -> List.length (Cyclespace.decompose g20 (List.map (fun c -> (1, c)) l))));
-    Test.make ~name:"F3_timeout_detector_run"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 3 |] in
-           let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 2 1) ~tau_plus:(q 3 1) () in
-           let cfg =
-             Sim.make_config ~nprocs:4
-               ~algorithm:(Failure_detector.algorithm ~xi:(q 2 1) ~rounds:1)
-               ~faults:[| Sim.Correct; Sim.Correct; Sim.Correct; Sim.Crash 1 |]
-               ~scheduler ~max_events:200 ()
-           in
-           (Sim.run cfg).Sim.delivered));
-    Test.make ~name:"F6_lp_simplex"
-      (Staged.stage (fun () ->
-           match Delay_assignment.solve_faithful fig3 ~xi:(q 9 4) with
-           | Delay_assignment.Assignment d -> List.length d
-           | Delay_assignment.Farkas _ -> 0));
-    Test.make ~name:"F6_lp_fourier_motzkin"
-      (Staged.stage (fun () ->
-           match Delay_assignment.solve_faithful ~engine:`Fourier_motzkin fig3 ~xi:(q 9 4) with
-           | Delay_assignment.Assignment d -> List.length d
-           | Delay_assignment.Farkas _ -> 0));
-    Test.make ~name:"F8_prover_game"
-      (Staged.stage (fun () -> Parsync.prover_wins ~phi:16 ~delta:16 ~xi:(q 6 5)));
-    Test.make ~name:"F10_fifo_guarantee"
-      (Staged.stage (fun () -> Fifo.fifo_guaranteed ~xi:(q 4 1) ~n_messages:3 ~chatter:4));
-    Test.make ~name:"T1_clock_sync_600ev"
-      (Staged.stage (fun () ->
-           let r =
-             run_clock_sync ~seed:5 ~nprocs:4 ~f:1 ~faults:faults4 ~byz:None ~max_events:600
-               ~tau_plus:(q 2 1)
-           in
-           Clock_sync.clock r.Sim.final_states.(0)));
-    Test.make ~name:"T2_skew_analysis_150ev"
-      (Staged.stage
-         (let r =
-            run_clock_sync ~seed:8 ~nprocs:4 ~f:1 ~faults:faults4 ~byz:None ~max_events:150
-              ~tau_plus:(q 2 1)
-          in
-          let input = { Clock_sync.result = r; correct = [ 0; 1; 2; 3 ]; xi = q 5 2 } in
-          fun () -> Clock_sync.max_skew_on_cuts input));
-    Test.make ~name:"T5_lockstep_700ev"
-      (Staged.stage (fun () ->
-           let rng = Random.State.make [| 31 |] in
-           let scheduler = Sim.theta_scheduler ~rng ~tau_minus:(q 1 1) ~tau_plus:(q 2 1) () in
-           let cfg =
-             Sim.make_config ~nprocs:4
-               ~algorithm:(Lockstep.algorithm ~f:1 ~xi:(q 5 2) Lockstep.noop_round_algo)
-               ~faults:faults4 ~scheduler ~max_events:700 ()
-           in
-           (Sim.run cfg).Sim.delivered));
-    Test.make ~name:"T6_admissibility_200ev"
-      (Staged.stage (fun () -> Abc_check.is_admissible g200 ~xi:(q 2 1)));
-    Test.make ~name:"T7_fast_assignment_200ev"
-      (Staged.stage (fun () -> Delay_assignment.solve_fast g200 ~xi:(q 4 1) <> None));
-    Test.make ~name:"T7_max_ratio_200ev"
-      (Staged.stage (fun () ->
-           match Abc.max_relevant_ratio g200 with None -> "none" | Some r -> Rat.to_string r));
-    Test.make ~name:"C1_eig_sync_n7_f2"
-      (Staged.stage (fun () ->
-           let behaviors = Array.make 7 Consensus.B_correct in
-           behaviors.(6) <-
-             Consensus.B_byzantine (fun ~round:_ ~dst -> Some [ ([], dst mod 2) ]);
-           let inputs = [| 1; 0; 1; 0; 1; 0; 1 |] in
-           let algo = Consensus.Eig.algo ~f:2 ~value:(fun p -> inputs.(p)) in
-           List.length (Consensus.run_synchronous ~nprocs:7 ~behaviors ~algo ~nrounds:3)));
-    Test.make ~name:"Z1_fuzz_case_eval_150ev"
-      (Staged.stage
-         (let case =
-            {
-              Fuzz.Gen.c_seed = 11;
-              c_nprocs = 4;
-              c_faults = Array.make 4 Sim.Correct;
-              c_xi = q 2 1;
-              c_sched = Fuzz.Gen.S_theta { tau_minus = q 1 1; tau_plus = q 3 2 };
-              c_workload = Fuzz.Gen.W_clock;
-              c_max_events = 150;
-              c_plan = [];
-              c_boundary = false;
-              c_schedule = [];
-            }
-          in
-          fun () -> List.length (Fuzz.Oracle.evaluate Fuzz.Oracle.registry case)));
-  ]
+  let identical = report 1 = report jobs in
+  Format.printf "  byte-identical reports: %b@." identical;
+  require identical "jobs=%d report diverged from the serial one" jobs
 
-let run_benchmarks () =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  pr "@.==== Bechamel timings (monotonic clock) ====@.";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.iter
-        (fun name raw ->
-          let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> pr "  %-34s %12.1f ns/run@." name t
-          | _ -> pr "  %-34s (no estimate)@." name)
-        results)
-    (bench_tests ())
+(* mc: DPOR vs naive, incremental vs replay, table vs no table, on a
+   3-process box at budget 6 (exhaustive naive search) and budget 8.
+   Configurations that must agree must produce the same class list;
+   the incremental engine's advantage is gated on delivery counts,
+   which are deterministic (1.46/1.51 deliveries per execution at
+   e=6/8, against the replay engine's 8.07/11.32).  The thresholds
+   hold for this box only, so it is fixed. *)
 
-(* ------------------------------------------------------------------ *)
-(* Pool scaling series: the same fuzz campaign at jobs=1 and jobs=J,
-   byte-compared, timed, and recorded as a JSON series so the perf
-   trajectory of the parallel runner has data across PRs. *)
-
-type pool_point = {
-  pp_jobs : int;
-  pp_wall : float;
-  pp_case_wall_total : float;
-  pp_case_wall_max : float;
-  pp_alloc_words : float;
-}
-
-let pool_point ~jobs ~seed ~cases =
-  let t0 = Pool.now () in
-  let o = Fuzz.Campaign.run ~shrink:false ~cases ~seed ~jobs () in
-  let wall = Pool.now () -. t0 in
-  let c = o.Fuzz.Campaign.cp_cost in
-  ( o,
-    {
-      pp_jobs = jobs;
-      pp_wall = wall;
-      pp_case_wall_total =
-        Array.fold_left ( +. ) 0.0 c.Fuzz.Campaign.ct_case_wall;
-      pp_case_wall_max =
-        Array.fold_left max 0.0 c.Fuzz.Campaign.ct_case_wall;
-      pp_alloc_words = Array.fold_left ( +. ) 0.0 c.Fuzz.Campaign.ct_case_alloc;
-    } )
-
-let pool_json ?note ~seed ~cases ~identical ~speedup points =
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\n  \"bench\": \"pool_campaign\",\n  \"seed\": %d,\n  \"cases\": %d,\n\
-    \  \"cores\": %d,\n  \"identical_reports\": %b,\n  \"speedup\": %.3f,\n"
-    seed cases (Pool.recommended_jobs ()) identical speedup;
-  (match note with
-  | None -> ()
-  | Some n -> Printf.bprintf buf "  \"note\": %S,\n" n);
-  Buffer.add_string buf "  \"series\": [\n";
-  List.iteri
-    (fun i p ->
-      Printf.bprintf buf
-        "    {\"jobs\": %d, \"wall_s\": %.3f, \"case_wall_total_s\": %.3f, \
-         \"case_wall_max_s\": %.4f, \"alloc_mwords\": %.1f}%s\n"
-        p.pp_jobs p.pp_wall p.pp_case_wall_total p.pp_case_wall_max
-        (p.pp_alloc_words /. 1e6)
-        (if i = List.length points - 1 then "" else ","))
-    points;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_file out contents =
-  let oc = open_out out in
-  output_string oc contents;
-  close_out oc
-
-let run_pool_bench ~seed ~cases ~jobs ~out =
-  let cores = Pool.recommended_jobs () in
-  if cores < 2 then begin
-    (* Single-core container: a multi-job run measures only scheduling
-       noise, so record the serial point and say why the series is
-       short rather than publishing a meaningless "speedup". *)
-    Format.printf
-      "pool campaign series: seed=%d cases=%d; 1 core available, skipping \
-       jobs=%d run@."
-      seed cases jobs;
-    let _, p1 = pool_point ~jobs:1 ~seed ~cases in
-    Format.printf "  jobs=1: %.2fs@." p1.pp_wall;
-    let json =
-      pool_json ~note:"single core available: multi-job run skipped" ~seed
-        ~cases ~identical:true ~speedup:1.0 [ p1 ]
-    in
-    write_file out json;
-    Format.printf "  series written to %s@." out
-  end
-  else begin
-    Format.printf "pool campaign series: seed=%d cases=%d jobs=1 vs jobs=%d@."
-      seed cases jobs;
-    let o1, p1 = pool_point ~jobs:1 ~seed ~cases in
-    Format.printf "  jobs=1: %.2fs@." p1.pp_wall;
-    let oj, pj = pool_point ~jobs ~seed ~cases in
-    Format.printf "  jobs=%d: %.2fs@." jobs pj.pp_wall;
-    let identical = Fuzz.Report.render o1 = Fuzz.Report.render oj in
-    let speedup = p1.pp_wall /. pj.pp_wall in
-    Format.printf "  byte-identical reports: %b; speedup: %.2fx@." identical
-      speedup;
-    let json = pool_json ~seed ~cases ~identical ~speedup [ p1; pj ] in
-    write_file out json;
-    Format.printf "  series written to %s@." out;
-    if not identical then begin
-      Format.eprintf "error: parallel report diverged from the serial one@.";
-      exit 1
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Rat fast-path series: micro-benchmarks of the small-rational
-   representation and the incremental admissibility checker, plus the
-   end-to-end 100-case Z1 campaign measured against the recorded
-   pre-fast-path baseline (same container, commit 291c93e). *)
-
-let rat_baseline_wall_s = 26.191
-let rat_baseline_alloc_mwords = 5045.33
-
-let rat_micro_tests () =
-  let open Bechamel in
-  let a = q 355 113 and b = q 113 355 in
-  let big =
-    Rat.make
-      (Bigint.of_string "123456789012345678901234567890")
-      (Bigint.of_string "98765432109876543210987654321")
-  in
-  let rng = Random.State.make [| 1 |] in
-  let g200 =
-    Generate.random_execution rng ~nprocs:4 ~max_events:200 ~max_delay:3
-      ~fanout:2
-  in
-  let checker = Abc_check.Checker.create g200 ~xi:(q 2 1) in
-  ignore (Abc_check.Checker.is_admissible checker);
-  [
-    Test.make ~name:"rat_add_small" (Staged.stage (fun () -> Rat.add a b));
-    Test.make ~name:"rat_mul_small" (Staged.stage (fun () -> Rat.mul a b));
-    Test.make ~name:"rat_div_small" (Staged.stage (fun () -> Rat.div a b));
-    Test.make ~name:"rat_compare_small"
-      (Staged.stage (fun () -> Rat.compare a b));
-    Test.make ~name:"rat_add_big" (Staged.stage (fun () -> Rat.add big b));
-    Test.make ~name:"rat_mul_big" (Staged.stage (fun () -> Rat.mul big big));
-    Test.make ~name:"check_scratch_200ev"
-      (Staged.stage (fun () -> Abc_check.is_admissible g200 ~xi:(q 2 1)));
-    Test.make ~name:"checker_query_200ev"
-      (Staged.stage (fun () -> Abc_check.Checker.is_admissible checker));
-    Test.make ~name:"checker_spec_roundtrip_200ev"
-      (Staged.stage (fun () ->
-           Abc_check.Checker.spec_begin checker;
-           ignore (Abc_check.Checker.spec_add_event checker ~proc:0);
-           let ok = Abc_check.Checker.spec_admissible checker in
-           Abc_check.Checker.spec_abort checker;
-           ok));
-    Test.make ~name:"max_ratio_200ev"
-      (Staged.stage (fun () -> Abc.max_relevant_ratio g200 <> None));
-  ]
-
-let measure_micro tests =
-  let open Bechamel in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  List.concat_map
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      Hashtbl.fold
-        (fun name raw acc ->
-          let ols =
-            Analyze.ols ~bootstrap:0 ~r_square:false
-              ~predictors:[| Measure.run |]
-          in
-          let est = Analyze.one ols instance raw in
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> (name, t) :: acc
-          | _ -> acc)
-        results [])
-    tests
-
-let run_rat_bench ~out =
-  Format.printf "rat fast-path series: 100-case Z1 campaign + micro@.";
-  (* End-to-end first: the Bechamel runs leave a large major heap
-     behind, which would tax the campaign's GC and skew the number
-     that the baseline comparison hangs on. *)
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Pool.now () in
-  let o = Fuzz.Campaign.run ~shrink:false ~cases:100 ~seed:1 ~jobs:1 () in
-  let wall = Pool.now () -. t0 in
-  let alloc_mwords = (Gc.allocated_bytes () -. alloc0) /. 8.0 /. 1e6 in
-  let failures = List.length o.Fuzz.Campaign.cp_failures in
-  let micro = measure_micro (rat_micro_tests ()) in
-  List.iter
-    (fun (name, ns) -> Format.printf "  %-30s %12.1f ns/run@." name ns)
-    micro;
-  let speedup = rat_baseline_wall_s /. wall in
-  let alloc_reduction = rat_baseline_alloc_mwords /. alloc_mwords in
-  Format.printf
-    "  campaign: %.3fs (baseline %.3fs, %.2fx), %.1f Mwords (baseline %.1f, \
-     %.2fx), %d failures@."
-    wall rat_baseline_wall_s speedup alloc_mwords rat_baseline_alloc_mwords
-    alloc_reduction failures;
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"bench\": \"rat_fastpath\",\n  \"campaign\": {\n    \"cases\": 100,\n\
-    \    \"seed\": 1,\n    \"jobs\": 1,\n    \"wall_s\": %.3f,\n\
-    \    \"alloc_mwords\": %.2f,\n    \"failures\": %d,\n\
-    \    \"baseline_wall_s\": %.3f,\n    \"baseline_alloc_mwords\": %.2f,\n\
-    \    \"speedup\": %.2f,\n    \"alloc_reduction\": %.2f\n  },\n\
-    \  \"micro_ns_per_run\": [\n"
-    wall alloc_mwords failures rat_baseline_wall_s rat_baseline_alloc_mwords
-    speedup alloc_reduction;
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.bprintf buf "    {\"name\": %S, \"ns\": %.1f}%s\n" name ns
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  Buffer.add_string buf "  ]\n}\n";
-  write_file out (Buffer.contents buf);
-  Format.printf "  series written to %s@." out
-
-(* ------------------------------------------------------------------ *)
-(* Nemesis series: the 100-case Z1 campaign under the full fault
-   palette (structured byzantine strategies, omission, recovery,
-   message-level plans) against the pre-nemesis baseline (same
-   container, commit 09ecc2e), plus the boundary campaign that must
-   witness violations at n = 3f. *)
-
-let byz_baseline_wall_s = 4.249
-let byz_baseline_alloc_mwords = 302.48
-
-let run_byz_bench ~out =
-  Format.printf "nemesis series: 100-case Z1 campaign + n = 3f boundary campaign@.";
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Pool.now () in
-  let o = Fuzz.Campaign.run ~shrink:false ~cases:100 ~seed:1 ~jobs:1 () in
-  let wall = Pool.now () -. t0 in
-  let alloc_mwords = (Gc.allocated_bytes () -. alloc0) /. 8.0 /. 1e6 in
-  let failures = List.length o.Fuzz.Campaign.cp_failures in
-  let bt0 = Pool.now () in
-  let ob = Fuzz.Campaign.run ~shrink:false ~boundary:true ~cases:50 ~seed:1 ~jobs:1 () in
-  let bwall = Pool.now () -. bt0 in
-  let fails_of name =
-    match List.assoc_opt name ob.Fuzz.Campaign.cp_stats with
-    | Some s -> s.Fuzz.Campaign.os_fail
-    | None -> 0
-  in
-  let precision_w = fails_of "boundary-precision" in
-  let agreement_w = fails_of "boundary-agreement" in
-  let speedup = byz_baseline_wall_s /. wall in
-  let alloc_ratio = byz_baseline_alloc_mwords /. alloc_mwords in
-  Format.printf
-    "  campaign: %.3fs (baseline %.3fs, %.2fx), %.1f Mwords (baseline %.1f, \
-     %.2fx), %d failures@."
-    wall byz_baseline_wall_s speedup alloc_mwords byz_baseline_alloc_mwords
-    alloc_ratio failures;
-  Format.printf
-    "  boundary: %.3fs, %d precision witnesses, %d agreement witnesses over \
-     %d cases@."
-    bwall precision_w agreement_w ob.Fuzz.Campaign.cp_cases_run;
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\n  \"bench\": \"byz_nemesis\",\n  \"campaign\": {\n    \"cases\": 100,\n\
-    \    \"seed\": 1,\n    \"jobs\": 1,\n    \"wall_s\": %.3f,\n\
-    \    \"alloc_mwords\": %.2f,\n    \"failures\": %d,\n\
-    \    \"baseline_wall_s\": %.3f,\n    \"baseline_alloc_mwords\": %.2f,\n\
-    \    \"relative_wall\": %.2f,\n    \"relative_alloc\": %.2f\n  },\n\
-    \  \"boundary\": {\n    \"cases\": %d,\n    \"seed\": 1,\n\
-    \    \"wall_s\": %.3f,\n    \"precision_witnesses\": %d,\n\
-    \    \"agreement_witnesses\": %d\n  }\n}\n"
-    wall alloc_mwords failures byz_baseline_wall_s byz_baseline_alloc_mwords
-    speedup alloc_ratio ob.Fuzz.Campaign.cp_cases_run bwall precision_w
-    agreement_w;
-  write_file out (Buffer.contents buf);
-  Format.printf "  series written to %s@." out;
-  if failures <> 0 then begin
-    Format.eprintf "error: positive campaign found violations@.";
-    exit 1
-  end;
-  if precision_w = 0 || agreement_w = 0 then begin
-    Format.eprintf "error: boundary campaign failed to witness both violation kinds@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Argument parsing: no cmdliner here (the harness predates it and the
-   grammar is three words); unknown flags fail loudly. *)
-
-(* ------------------------------------------------------------------ *)
-(* Model-checker benchmark: DPOR vs naive, incremental vs replay, on
-   fixed exhaustively explorable boxes at two budgets -> BENCH_mc.json.
-   Records states/sec, deliveries per execution (the replay
-   amplification the incremental engine removes), the reduction ratio,
-   the engine speedup and the cross-checks; exits 1 if any two
-   configurations that must agree disagree, if DPOR fails to reduce,
-   or if the incremental engine still re-simulates prefixes. *)
-
-let mc_bench_box ~nprocs ~budget =
+let mc_box ~budget =
   {
     Fuzz.Gen.c_seed = 1;
-    c_nprocs = nprocs;
-    c_faults = Array.make nprocs Sim.Correct;
+    c_nprocs = 3;
+    c_faults = Array.make 3 Sim.Correct;
     c_xi = q 2 1;
     c_sched = Fuzz.Gen.S_async { max_delay = Rat.one };
     c_workload = Fuzz.Gen.W_clock;
@@ -1121,750 +750,189 @@ let mc_bench_box ~nprocs ~budget =
     c_schedule = [];
   }
 
-(* Stateless-checker baseline: the replay-from-scratch explorer as of
-   commit 8a77dc8 (the last commit before the incremental engine),
-   search only ([~oracles:[] ~dpor:true ~jobs:1]) on the same boxes,
-   measured on this container as the min of five runs interleaved with
-   the new build.  Same convention as [rat_baseline_wall_s] and
-   [obs_baseline_wall_s]: the old code is gone from the tree, so the
-   reduction the rewrite bought is checked against pinned numbers. *)
-let mc_baseline_commit = "8a77dc8"
-let mc_baseline_search_wall_s = [ (6, 0.0104); (8, 0.1165); (10, 2.656) ]
+(* the incremental engine delivers each explored edge about once *)
+let mc_max_deliveries_per_exec = 2.0
 
-(* CI floor for the pinned-baseline reduction at the deeper budget:
-   the recorded value is ~3x, the gate is lenient against container
-   load (wall-clock noise here is routinely +/-30%) *)
-let mc_reduction_floor = 2.0
+(* replay re-delivers every prefix: measured 5.53x and 7.49x *)
+let mc_min_replay_ratio = 4.0
 
-let run_mc_bench ~nprocs ~budget ~budget2 ~out =
-  Format.printf "mc bench: n=%d budgets=%d,%d (clock, async box)@." nprocs
-    budget budget2;
+let run_mc_gate () =
+  Format.printf "mc gate: n=3 budgets=6,8 (clock, async box)@.";
+  let per_exec (o : Mc.Driver.outcome) =
+    float_of_int o.mc_deliveries /. float_of_int (max 1 o.mc_executions)
+  in
   let point ~budget ~dpor ~engine ~tt =
-    let case = mc_bench_box ~nprocs ~budget in
-    let t0 = Pool.now () in
-    let o = Mc.Driver.run ~dpor ~engine ~tt ~jobs:1 case in
-    let wall = Pool.now () -. t0 in
-    let dpe =
-      float_of_int o.Mc.Driver.mc_deliveries
-      /. float_of_int (max 1 o.Mc.Driver.mc_executions)
-    in
+    let o = Mc.Driver.run ~dpor ~engine ~tt ~jobs:1 (mc_box ~budget) in
     Format.printf
-      "  e=%d %-6s %-11s %6d executions, %3d classes, %8d deliveries \
-       (%5.2f/exec), %.3fs@."
+      "  e=%d %-8s %-11s %6d executions, %4d classes, %6d deliveries \
+       (%5.2f/exec)@."
       budget
       (if dpor then "dpor" else if tt then "naive+tt" else "naive")
       (match engine with
       | Mc.Explore.Incremental -> "incremental"
       | Mc.Explore.Replay -> "replay")
-      o.Mc.Driver.mc_executions
-      (List.length o.Mc.Driver.mc_classes)
-      o.Mc.Driver.mc_deliveries dpe wall;
-    (budget, dpor, engine, tt, o, wall)
+      o.mc_executions
+      (List.length o.mc_classes)
+      o.mc_deliveries (per_exec o);
+    o
   in
-  (* the same class list must come out of every configuration that is
-     supposed to agree: engines byte-identically (keys, representative
-     schedules, verdicts), and naive+tt against the exhaustive naive *)
+  let keys (o : Mc.Driver.outcome) =
+    List.map (fun (c : Mc.Explore.class_rec) -> c.cl_key) o.mc_classes
+  in
+  (* keys, representative schedules and verdicts *)
   let signature (o : Mc.Driver.outcome) =
     ( List.map
-        (fun (c : Mc.Explore.class_rec) ->
-          (c.Mc.Explore.cl_key, c.Mc.Explore.cl_choices))
-        o.Mc.Driver.mc_classes,
+        (fun (c : Mc.Explore.class_rec) -> (c.cl_key, c.cl_choices))
+        o.mc_classes,
       Mc.Mc_report.render_verdicts o )
   in
-  let failures = ref 0 in
-  let require cond msg =
-    if not cond then begin
-      Format.eprintf "error: %s@." msg;
-      incr failures
-    end
-  in
-  let check_budget ~budget ~exhaustive =
-    let inc =
-      point ~budget ~dpor:true ~engine:Mc.Explore.Incremental ~tt:true
-    in
+  let check ~budget ~exhaustive =
+    let inc = point ~budget ~dpor:true ~engine:Mc.Explore.Incremental ~tt:true in
     let rep = point ~budget ~dpor:true ~engine:Mc.Explore.Replay ~tt:true in
-    let ntt =
-      point ~budget ~dpor:false ~engine:Mc.Explore.Incremental ~tt:true
+    let ntt = point ~budget ~dpor:false ~engine:Mc.Explore.Incremental ~tt:true in
+    let ratio =
+      float_of_int rep.mc_deliveries /. float_of_int (max 1 inc.mc_deliveries)
     in
-    let _, _, _, _, oi, wi = inc and _, _, _, _, orp, wr = rep in
-    let _, _, _, _, ont, _ = ntt in
+    Format.printf "  e=%d replay/incremental deliveries: %.2fx@." budget ratio;
     require
-      (signature oi = signature orp)
-      (Printf.sprintf "e=%d: incremental and replay engines disagree" budget);
-    let dpe =
-      float_of_int oi.Mc.Driver.mc_deliveries
-      /. float_of_int (max 1 oi.Mc.Driver.mc_executions)
-    in
+      (signature inc = signature rep)
+      "e=%d: incremental and replay engines disagree" budget;
     require
-      (dpe <= 1.5 *. float_of_int budget)
-      (Printf.sprintf
-         "e=%d: incremental engine still replays (%.2f deliveries/exec > \
-          1.5x budget)"
-         budget dpe);
-    let speedup = wr /. wi in
-    Format.printf "  e=%d incremental speedup over replay: %.2fx (full battery)@."
-      budget speedup;
-    let naive =
-      if exhaustive then begin
-        let full =
-          point ~budget ~dpor:false ~engine:Mc.Explore.Incremental ~tt:false
-        in
-        let _, _, _, _, ofl, _ = full in
-        require
-          (signature ont = signature ofl)
-          (Printf.sprintf "e=%d: the transposition table lost classes" budget);
-        require
-          (Mc.Mc_report.render_verdicts oi = Mc.Mc_report.render_verdicts ofl)
-          (Printf.sprintf "e=%d: dpor and naive verdicts disagree" budget);
-        require
-          (float_of_int ofl.Mc.Driver.mc_executions
-          > float_of_int oi.Mc.Driver.mc_executions)
-          (Printf.sprintf "e=%d: dpor failed to reduce" budget);
-        [ full ]
-      end
-      else begin
-        (* at the bigger budget the exhaustive naive run is too slow to
-           repeat on every bench; table-pruned naive stands in, checked
-           against dpor's class keys (both are sound reductions) *)
-        require
-          (List.map
-             (fun (c : Mc.Explore.class_rec) -> c.Mc.Explore.cl_key)
-             ont.Mc.Driver.mc_classes
-          = List.map
-              (fun (c : Mc.Explore.class_rec) -> c.Mc.Explore.cl_key)
-              oi.Mc.Driver.mc_classes)
-          (Printf.sprintf "e=%d: naive+tt and dpor class keys differ" budget);
-        []
-      end
-    in
-    ((inc, speedup), ([ inc; rep; ntt ] @ naive))
-  in
-  let (inc1, _speed1), pts1 = check_budget ~budget ~exhaustive:true in
-  let (_inc2, _speed2), pts2 = check_budget ~budget:budget2 ~exhaustive:false in
-  let points = pts1 @ pts2 in
-  (* Search-only walls (oracle battery off), min of five warm runs: the engine
-     comparison and the pinned-baseline reduction are measured on the
-     search itself — the thing the engine rewrite changes — with the
-     oracle battery's per-class cost out of the frame. *)
-  let search_wall ~budget ~engine =
-    let case = mc_bench_box ~nprocs ~budget in
-    let search () = ignore (Mc.Driver.run ~oracles:[] ~dpor:true ~engine ~jobs:1 case) in
-    (* one untimed warm-up, then each timed run from a compacted heap,
-       so no timed run pays for first-touch heap growth or for the
-       previous run's garbage *)
-    search ();
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      Gc.compact ();
-      let t0 = Pool.now () in
-      search ();
-      best := min !best (Pool.now () -. t0)
-    done;
-    !best
-  in
-  let search =
-    List.map
-      (fun b ->
-        let wi = search_wall ~budget:b ~engine:Mc.Explore.Incremental in
-        let wr = search_wall ~budget:b ~engine:Mc.Explore.Replay in
-        let base = List.assoc_opt b mc_baseline_search_wall_s in
-        let red = Option.map (fun w -> w /. wi) base in
-        Format.printf
-          "  e=%d search: incremental %.4fs, replay %.4fs (%.2fx)%s@." b wi wr
-          (wr /. wi)
-          (match red with
-          | Some r ->
-              Printf.sprintf ", %.2fx vs stateless checker @%s" r
-                mc_baseline_commit
-          | None -> "");
-        (b, wi, wr, red))
-      [ budget; budget2 ]
-  in
-  List.iter
-    (fun (b, wi, wr, red) ->
-      require
-        (wr /. wi >= 1.5)
-        (Printf.sprintf
-           "e=%d: incremental engine not clearly faster than replay on the \
-            search (%.4fs vs %.4fs)"
-           b wi wr);
-      match red with
-      | Some r when b = budget2 ->
-          require (r >= mc_reduction_floor)
-            (Printf.sprintf
-               "e=%d: search reduction vs the stateless checker fell to \
-                %.2fx (floor %.1fx)"
-               b r mc_reduction_floor)
-      | _ -> ())
-    search;
-  let _, _, _, _, od, _ = inc1 in
-  (* compat fields against the exhaustive naive baseline at the small
-     budget, as the pre-engine bench recorded them *)
-  let ratio =
-    match
-      List.find_opt (fun (_, dpor, _, tt, _, _) -> (not dpor) && not tt) pts1
-    with
-    | Some (_, _, _, _, ofl, _) ->
-        float_of_int ofl.Mc.Driver.mc_executions
-        /. float_of_int od.Mc.Driver.mc_executions
-    | None -> 1.0
-  in
-  Format.printf "  reduction ratio at e=%d: %.2fx@." budget ratio;
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\n";
-  Printf.bprintf buf "  \"bench\": \"mc\",\n";
-  Printf.bprintf buf "  \"box\": %S,\n"
-    (Fuzz.Replay.to_string (mc_bench_box ~nprocs ~budget));
-  Printf.bprintf buf "  \"verdicts_agree\": %b,\n" (!failures = 0);
-  Printf.bprintf buf "  \"reduction_ratio\": %.4f,\n" ratio;
-  (match search with
-  | [ (_, w1, r1, _); (_, w2, r2, _) ] ->
-      Printf.bprintf buf
-        "  \"speedup_vs_replay\": { \"e%d\": %.2f, \"e%d\": %.2f },\n" budget
-        (r1 /. w1) budget2 (r2 /. w2)
-  | _ -> ());
-  Printf.bprintf buf "  \"search\": [\n";
-  let ns = List.length search in
-  List.iteri
-    (fun i (b, wi, wr, _) ->
-      Printf.bprintf buf
-        "    { \"budget\": %d, \"incremental_wall_s\": %.4f, \
-         \"replay_wall_s\": %.4f, \"speedup\": %.2f }%s\n"
-        b wi wr (wr /. wi)
-        (if i = ns - 1 then "" else ","))
-    search;
-  Printf.bprintf buf "  ],\n";
-  Printf.bprintf buf "  \"baseline\": { \"commit\": %S, \"wall_s\": { %s }, \
-                      \"reduction\": { %s } },\n"
-    mc_baseline_commit
-    (String.concat ", "
-       (List.filter_map
-          (fun (b, _, _, _) ->
-            Option.map
-              (fun w -> Printf.sprintf "\"e%d\": %.4f" b w)
-              (List.assoc_opt b mc_baseline_search_wall_s))
-          search))
-    (String.concat ", "
-       (List.filter_map
-          (fun (b, _, _, red) ->
-            Option.map (fun r -> Printf.sprintf "\"e%d\": %.2f" b r) red)
-          search));
-  Printf.bprintf buf "  \"series\": [\n";
-  let n = List.length points in
-  List.iteri
-    (fun i (b, dpor, engine, tt, (o : Mc.Driver.outcome), wall) ->
-      let dpe =
-        float_of_int o.Mc.Driver.mc_deliveries
-        /. float_of_int (max 1 o.Mc.Driver.mc_executions)
+      (per_exec inc <= mc_max_deliveries_per_exec)
+      "e=%d: incremental engine still replays (%.2f deliveries/exec > %.1f)"
+      budget (per_exec inc) mc_max_deliveries_per_exec;
+    require
+      (ratio >= mc_min_replay_ratio)
+      "e=%d: replay/incremental deliveries %.2fx < %.1fx" budget ratio
+      mc_min_replay_ratio;
+    if exhaustive then begin
+      let full =
+        point ~budget ~dpor:false ~engine:Mc.Explore.Incremental ~tt:false
       in
-      Printf.bprintf buf
-        "    { \"budget\": %d, \"mode\": %S, \"engine\": %S, \"tt\": %b, \
-         \"executions\": %d, \"classes\": %d, \"sleep_blocked\": %d, \
-         \"deliveries\": %d, \"deliveries_per_exec\": %.2f, \
-         \"replay_overhead\": %.2f, \"undos\": %d, \"tt_hits\": %d, \
-         \"wall_s\": %.4f, \"states_per_s\": %.1f }%s\n"
-        b
-        (if dpor then "dpor" else "naive")
-        (match engine with
-        | Mc.Explore.Incremental -> "incremental"
-        | Mc.Explore.Replay -> "replay")
-        tt o.Mc.Driver.mc_executions
-        (List.length o.Mc.Driver.mc_classes)
-        o.Mc.Driver.mc_sleep_blocked o.Mc.Driver.mc_deliveries dpe
-        (dpe /. float_of_int b)
-        o.Mc.Driver.mc_undos o.Mc.Driver.mc_tt_hits wall
-        (float_of_int o.Mc.Driver.mc_executions /. wall)
-        (if i = n - 1 then "" else ","))
-    points;
-  Printf.bprintf buf "  ]\n}\n";
-  write_file out (Buffer.contents buf);
-  Format.printf "  written to %s@." out;
-  if !failures <> 0 then exit 1
+      require
+        (signature ntt = signature full)
+        "e=%d: the transposition table lost classes" budget;
+      require
+        (Mc.Mc_report.render_verdicts inc = Mc.Mc_report.render_verdicts full)
+        "e=%d: dpor and naive verdicts disagree" budget;
+      require
+        (full.mc_executions > inc.mc_executions)
+        "e=%d: dpor failed to reduce" budget
+    end
+    else
+      (* the exhaustive naive search is too slow at the bigger budget;
+         table-pruned naive stands in, checked against dpor's class
+         keys (both are sound reductions) *)
+      require (keys ntt = keys inc)
+        "e=%d: naive+tt and dpor class keys differ" budget
+  in
+  check ~budget:6 ~exhaustive:true;
+  check ~budget:8 ~exhaustive:false
 
-(* ------------------------------------------------------------------ *)
-(* Observability overhead: the 100-case Z1 campaign with the tracing
-   hooks compiled in but disabled, against the pre-instrumentation
-   baseline recorded on this container (commit f951333, min of three
-   runs).  The bar is < 3% wall overhead: every instrumentation site
-   is guarded by one Atomic.t read and allocates nothing when off.
-   Run-to-run noise here is the same order as the bar (~2%), so both
-   sides of the comparison are min-of-three.  Also records the
-   enabled-mode run (events, digest, cost) and per-emit micro costs. *)
-
-let obs_baseline_wall_s = 4.787
-let obs_baseline_alloc_mwords = 307.0
+(* obs: tracing compiled in but disabled must cost under 3% of the
+   campaign it rides on.  Both sides are measured here: the disabled
+   per-site cost (one guarded emit in a tight loop) times the number
+   of sites an enabled run of the same campaign fires, over the
+   disabled campaign's wall. *)
 let obs_overhead_budget_pct = 3.0
 
-let run_obs_bench ~out =
-  Format.printf
-    "obs series: 100-case Z1 campaign, tracing disabled vs enabled@.";
+let run_obs_gate () =
+  Format.printf "obs gate: 100-case Z1 campaign, tracing disabled vs enabled@.";
   let campaign () =
-    let alloc0 = Gc.allocated_bytes () in
-    let t0 = Pool.now () in
-    let o = Fuzz.Campaign.run ~shrink:false ~cases:100 ~seed:1 ~jobs:1 () in
-    let wall = Pool.now () -. t0 in
-    let alloc_mwords = (Gc.allocated_bytes () -. alloc0) /. 8.0 /. 1e6 in
-    (o, wall, alloc_mwords)
-  in
-  let runs = List.init 3 (fun _ -> campaign ()) in
-  let dis_wall =
-    List.fold_left (fun acc (_, w, _) -> min acc w) infinity runs
-  in
-  let dis_alloc =
-    List.fold_left (fun acc (_, _, a) -> min acc a) infinity runs
-  in
-  let overhead_pct = ((dis_wall /. obs_baseline_wall_s) -. 1.0) *. 100.0 in
-  Format.printf
-    "  disabled: %.3fs min-of-3 (baseline %.3fs, %+.2f%% overhead), %.1f \
-     Mwords (baseline %.1f)@."
-    dis_wall obs_baseline_wall_s overhead_pct dis_alloc
-    obs_baseline_alloc_mwords;
-  let (_, en_wall, en_alloc), trace = Obs.capture campaign in
-  let events = Array.length trace.Obs.t_events in
-  let dg = Obs.digest trace in
-  Format.printf
-    "  enabled:  %.3fs, %.1f Mwords, %d events (%d dropped), digest %s@."
-    en_wall en_alloc events trace.Obs.t_dropped dg;
-  (* Per-emit micro costs, hand-timed (the quantities are far apart:
-     the disabled site is one atomic load, the enabled one allocates
-     an event record). *)
-  let ns_per n f =
-    let t0 = Pool.now () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Pool.now () -. t0) /. float_of_int n *. 1e9
-  in
-  let micro_disabled_ns =
-    ns_per 10_000_000 (fun () ->
-        if Obs.on () then Obs.instant "bench" "x" [ ("i", Obs.I 1) ])
-  in
-  Obs.start ~capacity:(1 lsl 16) ();
-  let micro_enabled_ns =
-    ns_per 1_000_000 (fun () ->
-        if Obs.on () then Obs.instant "bench" "x" [ ("i", Obs.I 1) ])
-  in
-  ignore (Obs.drain ());
-  Format.printf "  per-site: %.2f ns disabled, %.1f ns enabled@."
-    micro_disabled_ns micro_enabled_ns;
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"bench\": \"obs\",\n\
-    \  \"campaign\": {\"cases\": 100, \"seed\": 1, \"jobs\": 1},\n\
-    \  \"disabled\": {\n\
-    \    \"wall_s_min3\": %.3f,\n\
-    \    \"alloc_mwords_min3\": %.1f,\n\
-    \    \"baseline_wall_s\": %.3f,\n\
-    \    \"baseline_alloc_mwords\": %.1f,\n\
-    \    \"overhead_pct\": %.2f,\n\
-    \    \"budget_pct\": %.1f\n\
-    \  },\n\
-    \  \"enabled\": {\n\
-    \    \"wall_s\": %.3f,\n\
-    \    \"alloc_mwords\": %.1f,\n\
-    \    \"events\": %d,\n\
-    \    \"dropped\": %d,\n\
-    \    \"digest\": %S\n\
-    \  },\n\
-    \  \"per_site_ns\": {\"disabled\": %.2f, \"enabled\": %.1f}\n\
-     }\n"
-    dis_wall dis_alloc obs_baseline_wall_s obs_baseline_alloc_mwords
-    overhead_pct obs_overhead_budget_pct en_wall en_alloc events
-    trace.Obs.t_dropped dg micro_disabled_ns micro_enabled_ns;
-  write_file out (Buffer.contents buf);
-  Format.printf "  series written to %s@." out;
-  if overhead_pct >= obs_overhead_budget_pct then begin
-    Format.eprintf "error: disabled-tracing overhead %.2f%% >= %.1f%%@."
-      overhead_pct obs_overhead_budget_pct;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Dist series: the same campaign serially, sharded across worker
-   subprocesses, and sharded under a nemesis that kills one worker and
-   corrupts another's stream.  The number that matters is boolean —
-   all three reports byte-identical — with the walls recorded so a
-   dispatch-overhead regression is visible in the series. *)
-
-let dist_nemesis_spec = "kill:0@1,corrupt:1@1"
-
-let run_dist_bench ~cases ~seed ~shards ~out =
-  Format.printf
-    "dist series: serial vs %d-shard subprocess campaign, cases=%d seed=%d@."
-    shards cases seed;
-  let time f =
-    let t0 = Pool.now () in
-    let r = f () in
-    (r, Pool.now () -. t0)
-  in
-  let serial, serial_wall =
-    time (fun () ->
-        Fuzz.Campaign.run ~oracles:Fuzz.Oracle.registry ~shrink:true ~jobs:1
-          ~cases ~seed ())
-  in
-  let serial_r = Fuzz.Report.render serial in
-  Format.printf "  serial:            %.2fs@." serial_wall;
-  let shard_run ~nemesis =
-    let cfg = Dist.Supervisor.make_config ~nemesis ~shards () in
-    time (fun () ->
-        Dist.Supervisor.run_fuzz ~quiet:true cfg ~seed ~cases ~boundary:false
-          ~shrink:true ~oracles:None ())
-  in
-  let sharded, sharded_wall = shard_run ~nemesis:Dist.Nemesis.none in
-  let identical = Fuzz.Report.render sharded = serial_r in
-  Format.printf "  %d shards:          %.2fs, byte-identical: %b@." shards
-    sharded_wall identical;
-  let nemesis =
-    match Dist.Nemesis.parse dist_nemesis_spec with
-    | Ok n -> n
-    | Error e -> failwith e
-  in
-  let nem, nem_wall = shard_run ~nemesis in
-  let nem_identical = Fuzz.Report.render nem = serial_r in
-  Format.printf "  %d shards + nemesis: %.2fs, byte-identical: %b@." shards
-    nem_wall nem_identical;
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"bench\": \"dist\",\n\
-    \  \"campaign\": {\"cases\": %d, \"seed\": %d, \"shards\": %d},\n\
-    \  \"serial_wall_s\": %.3f,\n\
-    \  \"sharded_wall_s\": %.3f,\n\
-    \  \"nemesis\": %S,\n\
-    \  \"nemesis_wall_s\": %.3f,\n\
-    \  \"identical\": %b,\n\
-    \  \"nemesis_identical\": %b\n\
-     }\n"
-    cases seed shards serial_wall sharded_wall dist_nemesis_spec nem_wall
-    identical nem_identical;
-  write_file out (Buffer.contents buf);
-  Format.printf "  series written to %s@." out;
-  if not (identical && nem_identical) then begin
-    Format.eprintf "error: sharded report diverged from the serial one@.";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* net: transport series.  Raw framing throughput over each byte
-   stream the shard protocol can ride (pipe pair, Unix-domain socket,
-   localhost TCP), then the same small campaign run over each
-   transport with per-unit round-trip wall — and the only number that
-   gates: all reports byte-identical to the serial run. *)
-
-let net_frame_count = 20_000
-
-(* frames/sec through one transport: a writer domain pushes
-   [net_frame_count] heartbeat frames in batches, the main domain
-   parses them back out of the stream. *)
-let frames_per_sec mk =
-  let wr, rd, cleanup = mk () in
-  let one = Dist.Frame.encode Dist.Frame.M_heartbeat in
-  let batch = String.concat "" (List.init 100 (fun _ -> one)) in
-  let t0 = Pool.now () in
-  let writer =
-    Domain.spawn (fun () ->
-        for _ = 1 to net_frame_count / 100 do
-          Net.Transport.write wr batch
-        done)
-  in
-  let p = Dist.Frame.parser_create () in
-  let buf = Bytes.create 65536 in
-  let got = ref 0 in
-  while !got < net_frame_count do
-    let n = Net.Transport.read rd buf 0 65536 in
-    if n = 0 then failwith "net bench: unexpected EOF";
-    Dist.Frame.feed p buf n;
-    let rec drain () =
-      match Dist.Frame.next p with
-      | Ok (Some _) ->
-          incr got;
-          drain ()
-      | Ok None -> ()
-      | Error e -> failwith ("net bench: " ^ e)
-    in
-    drain ()
-  done;
-  Domain.join writer;
-  let wall = Pool.now () -. t0 in
-  cleanup ();
-  float_of_int net_frame_count /. wall
-
-let mk_pipe_wire () =
-  let r, w = Unix.pipe () in
-  let t = Net.Transport.of_pipe ~read_fd:r ~write_fd:w in
-  (t, t, fun () -> Net.Transport.close t)
-
-let mk_unix_wire () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let ta = Net.Transport.of_fd a ~peer:"bench-a" in
-  let tb = Net.Transport.of_fd b ~peer:"bench-b" in
-  ( ta,
-    tb,
-    fun () ->
-      Net.Transport.close ta;
-      Net.Transport.close tb )
-
-let mk_tcp_wire () =
-  let l =
-    match Net.Transport.listen (Net.Transport.Tcp ("127.0.0.1", 0)) with
-    | Ok l -> l
-    | Error e -> failwith e
-  in
-  let c =
-    match Net.Transport.connect (Net.Transport.bound_addr l) with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
-  let s =
-    match Net.Transport.accept l with Ok s -> s | Error e -> failwith e
-  in
-  Net.Transport.close_listener l;
-  ( c,
-    s,
-    fun () ->
-      Net.Transport.close c;
-      Net.Transport.close s )
-
-(* a free localhost port: bind 0, read it back, release it *)
-let free_tcp_port () =
-  match Net.Transport.listen (Net.Transport.Tcp ("127.0.0.1", 0)) with
-  | Error e -> failwith e
-  | Ok l -> (
-      let a = Net.Transport.bound_addr l in
-      Net.Transport.close_listener l;
-      match a with Net.Transport.Tcp (_, p) -> p | _ -> assert false)
-
-let spawn_serve_worker ~id ~addr =
-  let binding =
-    Dist.Worker.env_binding
-      (Dist.Worker.cfg ~id ~once:true (Dist.Worker.Listen addr))
-  in
-  let env = Array.append (Unix.environment ()) [| binding |] in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [| Sys.executable_name |]
-      env Unix.stdin null null
-  in
-  Unix.close null;
-  pid
-
-let run_net_bench ~cases ~seed ~out =
-  Format.printf
-    "net series: framing throughput + campaign RTT per transport, cases=%d \
-     seed=%d@."
-    cases seed;
-  let fps_pipe = frames_per_sec mk_pipe_wire in
-  let fps_unix = frames_per_sec mk_unix_wire in
-  let fps_tcp = frames_per_sec mk_tcp_wire in
-  Format.printf
-    "  frames/sec:        pipe %.0f, unix-socket %.0f, localhost tcp %.0f@."
-    fps_pipe fps_unix fps_tcp;
-  let time f =
-    let t0 = Pool.now () in
-    let r = f () in
-    (r, Pool.now () -. t0)
-  in
-  let serial_r =
     Fuzz.Report.render
-      (Fuzz.Campaign.run ~oracles:Fuzz.Oracle.registry ~shrink:true ~jobs:1
-         ~cases ~seed ())
+      (Fuzz.Campaign.run ~shrink:false ~cases:100 ~seed:1 ~jobs:1 ())
   in
-  let nunits = (cases + 15) / 16 in
-  let campaign ?(endpoints = []) () =
-    let cfg = Dist.Supervisor.make_config ~shards:2 ~endpoints () in
-    let report, wall =
-      time (fun () ->
-          Dist.Supervisor.run_fuzz ~quiet:true cfg ~seed ~cases
-            ~boundary:false ~shrink:true ~oracles:None ())
-    in
-    (Fuzz.Report.render report = serial_r, wall /. float_of_int nunits)
+  let timed () =
+    let t0 = Pool.now () in
+    let r = campaign () in
+    (r, Pool.now () -. t0)
   in
-  let over_serve_fleet addrs k =
-    let pids =
-      List.mapi (fun i addr -> spawn_serve_worker ~id:(i + 1) ~addr) addrs
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun pid ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-          pids)
-      k
-  in
-  let pipe_ok, pipe_rtt = campaign () in
-  Format.printf "  pipe workers:      %.1f ms/unit, identical: %b@."
-    (pipe_rtt *. 1e3) pipe_ok;
-  let sock_path i =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "abc_bench_net_%d_%d.sock" (Unix.getpid ()) i)
-  in
-  let unix_addrs = [ sock_path 1; sock_path 2 ] in
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) unix_addrs;
-  let unix_eps =
-    List.map (fun p -> Net.Transport.Unix_sock p) unix_addrs
-  in
-  let unix_ok, unix_rtt =
-    over_serve_fleet unix_eps (fun () ->
-        campaign ~endpoints:(List.map (fun a -> (a, 1)) unix_eps) ())
-  in
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) unix_addrs;
-  Format.printf "  unix-socket workers: %.1f ms/unit, identical: %b@."
-    (unix_rtt *. 1e3) unix_ok;
-  let tcp_eps =
-    [
-      Net.Transport.Tcp ("127.0.0.1", free_tcp_port ());
-      Net.Transport.Tcp ("127.0.0.1", free_tcp_port ());
-    ]
-  in
-  let tcp_ok, tcp_rtt =
-    over_serve_fleet tcp_eps (fun () ->
-        campaign ~endpoints:(List.map (fun a -> (a, 1)) tcp_eps) ())
-  in
-  Format.printf "  tcp workers:       %.1f ms/unit, identical: %b@."
-    (tcp_rtt *. 1e3) tcp_ok;
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"bench\": \"net\",\n\
-    \  \"campaign\": {\"cases\": %d, \"seed\": %d, \"shards\": 2, \"units\": \
-     %d},\n\
-    \  \"frames_per_sec\": {\"pipe\": %.0f, \"unix\": %.0f, \"tcp\": %.0f},\n\
-    \  \"unit_rtt_ms\": {\"pipe\": %.2f, \"unix\": %.2f, \"tcp\": %.2f},\n\
-    \  \"identical\": {\"pipe\": %b, \"unix\": %b, \"tcp\": %b}\n\
-     }\n"
-    cases seed nunits fps_pipe fps_unix fps_tcp (pipe_rtt *. 1e3)
-    (unix_rtt *. 1e3) (tcp_rtt *. 1e3) pipe_ok unix_ok tcp_ok;
-  write_file out (Buffer.contents buf);
-  Format.printf "  series written to %s@." out;
-  if not (pipe_ok && unix_ok && tcp_ok) then begin
-    Format.eprintf
-      "error: a socket-sharded report diverged from the serial one@.";
-    exit 1
-  end
+  (* the faster of two disabled runs: the smaller wall is the stricter
+     denominator *)
+  let disabled, w1 = timed () in
+  let _, w2 = timed () in
+  let wall = Float.min w1 w2 in
+  let enabled, trace = Obs.capture campaign in
+  let sites = Array.length trace.Obs.t_events + trace.Obs.t_dropped in
+  let n = 10_000_000 in
+  let t0 = Pool.now () in
+  for i = 1 to n do
+    if Obs.on () then Obs.instant "bench" "x" [ ("i", Obs.I i) ]
+  done;
+  let site_ns = (Pool.now () -. t0) /. float_of_int n *. 1e9 in
+  let pct = site_ns *. float_of_int sites /. (wall *. 1e9) *. 100.0 in
+  Format.printf "  disabled: %.3fs; enabled: %d sites fired; %.2f ns per disabled site@."
+    wall sites site_ns;
+  Format.printf "  disabled-tracing overhead: %.3f%% (budget %.1f%%)@." pct
+    obs_overhead_budget_pct;
+  require (enabled = disabled) "tracing changed the campaign report";
+  require (sites > 0) "the enabled run fired no instrumentation site";
+  require
+    (pct < obs_overhead_budget_pct)
+    "disabled-tracing overhead %.2f%% >= %.1f%%" pct obs_overhead_budget_pct
 
-let usage () =
-  prerr_endline
-    "usage: main.exe [reports [SECTION...] [-j N]] | [pool [--cases N] \
-     [--jobs N] [--seed N] [--out FILE]] | [rat [--out FILE]] | [byz [--out \
-     FILE]] | [mc [--procs N] [--budget B] [--out FILE]] | [obs [--out \
-     FILE]] | [dist [--cases N] [--seed N] [--shards N] [--out FILE]] | [net \
-     [--cases N] [--seed N] [--out FILE]]";
-  exit 2
+(* ------------------------------------------------------------------ *)
+(* Command line *)
 
-let int_arg name = function
-  | v :: rest -> (
-      match int_of_string_opt v with
-      | Some i -> (i, rest)
-      | None ->
-          Format.eprintf "error: %s expects an integer, got %S@." name v;
-          exit 2)
-  | [] ->
-      Format.eprintf "error: %s expects an argument@." name;
-      exit 2
+open Cmdliner
+
+let int_opt names ~docv ~doc default =
+  Arg.(value & opt int default & info names ~docv ~doc)
+
+(* run a gate, then exit 1 if any of its checks failed *)
+let gate name ~doc term =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const (fun run -> run (); if !failures > 0 then Stdlib.exit 1) $ term)
+
+let reports_term =
+  let sections =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"SECTION"
+          ~doc:"Experiment ids of DESIGN.md to print (e.g. F1 T2); all when none.")
+  in
+  let jobs =
+    int_opt [ "j"; "jobs" ] ~docv:"N" 1
+      ~doc:"Render sections on $(docv) pool workers; the output does not depend on $(docv)."
+  in
+  Term.(
+    const (fun only jobs -> run_reports ~jobs:(max 1 jobs) ~only ())
+    $ sections $ jobs)
+
+let cmd_reports =
+  Cmd.v
+    (Cmd.info "reports" ~doc:"Print the figure and theorem reports (the default).")
+    reports_term
+
+let cmd_pool =
+  let cases = int_opt [ "cases" ] ~docv:"N" 200 ~doc:"Campaign cases." in
+  let jobs =
+    int_opt [ "j"; "jobs" ] ~docv:"N"
+      (max 2 (Pool.recommended_jobs ()))
+      ~doc:"Workers of the run compared against the serial one."
+  in
+  gate "pool" ~doc:"Serial and pooled campaign reports must be byte-identical."
+    Term.(
+      const (fun cases jobs () -> run_pool_gate ~cases ~jobs:(max 1 jobs))
+      $ cases $ jobs)
+
+let cmd_mc =
+  gate "mc"
+    ~doc:
+      "Model-checker engines, reductions and the transposition table must \
+       agree; the incremental engine must not replay prefixes."
+    Term.(const run_mc_gate)
+
+let cmd_obs =
+  gate "obs" ~doc:"Disabled tracing must cost under 3% of a fuzz campaign."
+    Term.(const run_obs_gate)
 
 let () =
-  (* The dist supervisor re-executes whatever binary spawned it as its
-     workers; this makes the bench harness self-hosting too. *)
-  Dist.Worker.maybe_run ();
-  match Array.to_list Sys.argv with
-  | _ :: "reports" :: rest ->
-      let rec go only jobs = function
-        | [] -> run_reports ~jobs ~only:(List.rev only) ()
-        | ("-j" | "--jobs") :: rest ->
-            let j, rest = int_arg "--jobs" rest in
-            go only (max 1 j) rest
-        | id :: rest when String.length id > 0 && id.[0] <> '-' ->
-            go (id :: only) jobs rest
-        | _ -> usage ()
-      in
-      go [] 1 rest
-  | _ :: "pool" :: rest ->
-      let rec go ~cases ~jobs ~seed ~out = function
-        | [] -> run_pool_bench ~seed ~cases ~jobs ~out
-        | "--cases" :: rest ->
-            let cases, rest = int_arg "--cases" rest in
-            go ~cases ~jobs ~seed ~out rest
-        | ("-j" | "--jobs") :: rest ->
-            let jobs, rest = int_arg "--jobs" rest in
-            go ~cases ~jobs:(max 1 jobs) ~seed ~out rest
-        | "--seed" :: rest ->
-            let seed, rest = int_arg "--seed" rest in
-            go ~cases ~jobs ~seed ~out rest
-        | "--out" :: file :: rest -> go ~cases ~jobs ~seed ~out:file rest
-        | _ -> usage ()
-      in
-      go ~cases:200 ~jobs:(max 2 (Pool.recommended_jobs ())) ~seed:1
-        ~out:"BENCH_pool.json" rest
-  | _ :: "rat" :: rest ->
-      let rec go ~out = function
-        | [] -> run_rat_bench ~out
-        | "--out" :: file :: rest -> go ~out:file rest
-        | _ -> usage ()
-      in
-      go ~out:"BENCH_rat.json" rest
-  | _ :: "byz" :: rest ->
-      let rec go ~out = function
-        | [] -> run_byz_bench ~out
-        | "--out" :: file :: rest -> go ~out:file rest
-        | _ -> usage ()
-      in
-      go ~out:"BENCH_byz.json" rest
-  | _ :: "mc" :: rest ->
-      let rec go ~nprocs ~budget ~budget2 ~out = function
-        | [] -> run_mc_bench ~nprocs ~budget ~budget2 ~out
-        | "--procs" :: rest ->
-            let nprocs, rest = int_arg "--procs" rest in
-            go ~nprocs ~budget ~budget2 ~out rest
-        | "--budget" :: rest ->
-            let budget, rest = int_arg "--budget" rest in
-            go ~nprocs ~budget ~budget2 ~out rest
-        | "--budget2" :: rest ->
-            let budget2, rest = int_arg "--budget2" rest in
-            go ~nprocs ~budget ~budget2 ~out rest
-        | "--out" :: file :: rest -> go ~nprocs ~budget ~budget2 ~out:file rest
-        | _ -> usage ()
-      in
-      go ~nprocs:3 ~budget:6 ~budget2:8 ~out:"BENCH_mc.json" rest
-  | _ :: "obs" :: rest ->
-      let rec go ~out = function
-        | [] -> run_obs_bench ~out
-        | "--out" :: file :: rest -> go ~out:file rest
-        | _ -> usage ()
-      in
-      go ~out:"BENCH_obs.json" rest
-  | _ :: "dist" :: rest ->
-      let rec go ~cases ~seed ~shards ~out = function
-        | [] -> run_dist_bench ~cases ~seed ~shards ~out
-        | "--cases" :: rest ->
-            let cases, rest = int_arg "--cases" rest in
-            go ~cases ~seed ~shards ~out rest
-        | "--seed" :: rest ->
-            let seed, rest = int_arg "--seed" rest in
-            go ~cases ~seed ~shards ~out rest
-        | "--shards" :: rest ->
-            let shards, rest = int_arg "--shards" rest in
-            go ~cases ~seed ~shards:(max 1 shards) ~out rest
-        | "--out" :: file :: rest -> go ~cases ~seed ~shards ~out:file rest
-        | _ -> usage ()
-      in
-      go ~cases:120 ~seed:1 ~shards:4 ~out:"BENCH_dist.json" rest
-  | _ :: "net" :: rest ->
-      let rec go ~cases ~seed ~out = function
-        | [] -> run_net_bench ~cases ~seed ~out
-        | "--cases" :: rest ->
-            let cases, rest = int_arg "--cases" rest in
-            go ~cases ~seed ~out rest
-        | "--seed" :: rest ->
-            let seed, rest = int_arg "--seed" rest in
-            go ~cases ~seed ~out rest
-        | "--out" :: file :: rest -> go ~cases ~seed ~out:file rest
-        | _ -> usage ()
-      in
-      go ~cases:120 ~seed:1 ~out:"BENCH_net.json" rest
-  | [ _ ] ->
-      run_reports ();
-      run_benchmarks ()
-  | _ -> usage ()
+  let info =
+    Cmd.info "main.exe"
+      ~doc:"ABC model reproduction: figure reports and pass/fail gates"
+  in
+  exit
+    (Cmd.eval
+       (Cmd.group ~default:reports_term info
+          [ cmd_reports; cmd_pool; cmd_mc; cmd_obs ]))

@@ -332,6 +332,7 @@ let supervisor_tests =
           [
             "kill:0@1";
             "corrupt:1@1";
+            "kill:0@1,corrupt:1@1";
             "dup:0@1";
             "flip:1@1";
             "trunc:0@2";

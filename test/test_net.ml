@@ -583,11 +583,24 @@ let nem spec =
   | Ok n -> n
   | Error e -> Alcotest.failf "bad nemesis spec %s: %s" spec e
 
-(* Listen-mode fleet: workers bind unix sockets, the supervisor dials
-   them through the registry (--workers). *)
-let with_listen_fleet ?nemesis k =
+(* a free localhost TCP port: bind port 0, read it back, release it *)
+let free_tcp_addr () =
+  match Net.Transport.listen (Net.Transport.Tcp ("127.0.0.1", 0)) with
+  | Error e -> Alcotest.failf "listen: %s" e
+  | Ok l ->
+      let a = Net.Transport.bound_addr l in
+      Net.Transport.close_listener l;
+      a
+
+(* Listen-mode fleet: workers bind unix sockets (localhost TCP ports
+   with [~tcp:true]), the supervisor dials them through the registry
+   (--workers). *)
+let with_listen_fleet ?nemesis ?(tcp = false) k =
   let p1 = fresh_sock_path () and p2 = fresh_sock_path () in
-  let a1 = Net.Transport.Unix_sock p1 and a2 = Net.Transport.Unix_sock p2 in
+  let a1, a2 =
+    if tcp then (free_tcp_addr (), free_tcp_addr ())
+    else (Net.Transport.Unix_sock p1, Net.Transport.Unix_sock p2)
+  in
   let nemesis = Option.value nemesis ~default:Dist.Nemesis.none in
   let pids =
     [
@@ -625,13 +638,30 @@ let with_tmp f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
+(* A campaign over a dialed fleet with the subprocess rung switched off
+   (no respawns): besides matching the serial report, no unit may fall
+   through to the in-process rung, so every unit crossed the sockets. *)
+let check_over_sockets name endpoints =
+  let report, trace =
+    Obs.capture (fun () -> run_net ~shards:2 ~endpoints ~respawn_budget:0 ())
+  in
+  if
+    Array.exists
+      (fun (e : Obs.event) -> e.ev_cat = "dist" && e.ev_name = "fallback")
+      trace.Obs.t_events
+  then Alcotest.failf "%s: units fell back to in-process execution" name;
+  check_identical name report
+
 let campaign_tests =
   [
     Alcotest.test_case "campaign over dialed unix-socket workers is identical"
       `Slow (fun () ->
         with_listen_fleet (fun endpoints ->
-            check_identical "dialed sockets"
-              (run_net ~shards:2 ~endpoints ())));
+            check_over_sockets "dialed sockets" endpoints));
+    Alcotest.test_case "campaign over dialed TCP workers is identical" `Slow
+      (fun () ->
+        with_listen_fleet ~tcp:true (fun endpoints ->
+            check_over_sockets "dialed tcp" endpoints));
     Alcotest.test_case "identical under every network nemesis (self-registered)"
       `Slow (fun () ->
         List.iter
